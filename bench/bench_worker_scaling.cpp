@@ -33,9 +33,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,12 +93,27 @@ class SyntheticPacketSource final : public core::PacketSource {
   std::atomic<bool> interrupted_{false};
 };
 
-/// Shared across every chain: counts deliveries, never stores them.
+/// Shared across every chain: counts deliveries, never stores them. The
+/// measuring thread blocks in wait_for() instead of spinning, so it takes
+/// no core from the workers it measures.
 class CountingPacketSink final : public core::PacketSink {
  public:
   void deliver(util::ByteSpan packet) override {
-    packets_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(packet.size(), std::memory_order_relaxed);
+    // seq_cst pairs with wait_for(): either the waiter sees this count or
+    // this delivery sees its mark and wakes it (the lock orders the
+    // notify after the waiter parked).
+    if (packets_.fetch_add(1) + 1 == mark_.load()) {
+      std::lock_guard<std::mutex> lk(mu_);
+      cv_.notify_all();
+    }
+  }
+
+  /// Blocks until at least `n` packets were delivered.
+  void wait_for(std::uint64_t n) {
+    std::unique_lock<std::mutex> lk(mu_);
+    mark_.store(n);
+    cv_.wait(lk, [&] { return packets_.load() >= n; });
   }
 
   std::uint64_t packets() const {
@@ -107,6 +124,9 @@ class CountingPacketSink final : public core::PacketSink {
  private:
   std::atomic<std::uint64_t> packets_{0};
   std::atomic<std::uint64_t> bytes_{0};
+  std::atomic<std::uint64_t> mark_{0};  // the count wait_for() waits for
+  std::mutex mu_;
+  std::condition_variable cv_;
 };
 
 class PassThroughPacketFilter final : public core::PacketFilter {
@@ -185,7 +205,7 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
   // and the global pool's mutex must not be touched at all. Hit rate is
   // computed over this window (the pre-warm's deliberate first-touch
   // misses are start-up cost, not steady-state behaviour).
-  while (sink->packets() < total / 4) std::this_thread::yield();
+  sink->wait_for(total / 4);
   const std::uint64_t global0 = util::default_pool().lock_acquires();
   std::uint64_t hits0 = 0, misses0 = 0;
   for (std::size_t w = 0; w < pool.size(); ++w) {
@@ -193,7 +213,7 @@ Result run_once(std::size_t workers, std::size_t chains, std::size_t filters,
     hits0 += s.hits;
     misses0 += s.misses;
   }
-  while (sink->packets() < total) std::this_thread::yield();
+  sink->wait_for(total);
   const std::uint64_t global1 = util::default_pool().lock_acquires();
 
   const double secs =

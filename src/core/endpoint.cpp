@@ -17,19 +17,9 @@ std::optional<util::Bytes> PacketSource::poll_packet(bool* /*finished*/) {
 PacketReaderEndpoint::PacketReaderEndpoint(std::string name,
                                            std::shared_ptr<PacketSource> source,
                                            std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), source_(std::move(source)) {}
-
-void PacketReaderEndpoint::run() {
-  for (;;) {
-    auto packet = source_->next_packet();
-    if (!packet) break;
-    // Count before the frame becomes observable downstream: anyone who saw
-    // the packet must also see it in the metric (STATS is a faithful view).
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    util::write_frame(dos(), *packet);
-    // The source's buffer is dead here; recycle it so pool-aware producers
-    // (and downstream FrameReaders) stop hitting the allocator.
-    util::BufferPool::local().release(std::move(*packet));
+    : Filter(std::move(name), buffer_capacity), source_(std::move(source)) {
+  if (!source_->pollable()) {
+    throw std::invalid_argument("PacketReaderEndpoint: source is not pollable");
   }
 }
 
@@ -57,14 +47,18 @@ Filter::Drive PacketReaderEndpoint::on_ready() {
   for (int budget = 0; budget < kDriveBudget; ++budget) {
     bool finished = false;
     auto packet = source_->poll_packet(&finished);
-    // Exhausted means run() would have returned: kDone without closing the
-    // DOS, so downstream stays connected (removal protocol).
+    // Exhausted: kDone without closing the DOS, so downstream stays
+    // connected (removal protocol).
     if (!packet) return finished ? Drive::kDone : Drive::kIdle;
+    // Count before the frame becomes observable downstream: anyone who saw
+    // the packet must also see it in the metric (STATS is a faithful view).
     packets_.fetch_add(1, std::memory_order_relaxed);
     if (!util::try_write_frame(dos(), *packet)) {
       ev_parked_ = std::move(packet);
       return Drive::kIdle;
     }
+    // The source's buffer is dead here; recycle it so pool-aware producers
+    // (and downstream FrameReaders) stop hitting the allocator.
     util::BufferPool::local().release(std::move(*packet));
   }
   return Drive::kMore;
@@ -80,20 +74,6 @@ PacketWriterEndpoint::PacketWriterEndpoint(std::string name,
                                            std::shared_ptr<PacketSink> sink,
                                            std::size_t buffer_capacity)
     : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
-
-void PacketWriterEndpoint::run() {
-  util::FrameReader frames(dis());
-  for (;;) {
-    auto packet = frames.next();
-    if (!packet) break;
-    // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
-    // must never read a metric that lags what the sink already handed out.
-    packets_.fetch_add(1, std::memory_order_relaxed);
-    sink_->deliver(*packet);
-    util::BufferPool::local().release(std::move(*packet));
-  }
-  sink_->on_end();
-}
 
 void PacketWriterEndpoint::event_start() {
   ev_frames_ = std::make_unique<util::FrameReader>(dis());
@@ -114,7 +94,8 @@ Filter::Drive PacketWriterEndpoint::on_ready() {
       }
       return Drive::kDone;
     }
-    // Same ordering contract as run(): count before delivery.
+    // Count before delivery: a caller woken by the sink (e.g. wait_for(n))
+    // must never read a metric that lags what the sink already handed out.
     packets_.fetch_add(1, std::memory_order_relaxed);
     sink_->deliver(*packet);
     util::BufferPool::local().release(std::move(*packet));
@@ -134,164 +115,55 @@ ByteReaderEndpoint::ByteReaderEndpoint(std::string name,
                                        std::size_t buffer_capacity)
     : Filter(std::move(name), buffer_capacity),
       source_(std::move(source)),
-      chunk_(chunk) {}
-
-void ByteReaderEndpoint::run() {
-  util::Bytes buf = util::BufferPool::local().acquire(chunk_);
-  for (;;) {
-    buf.resize(chunk_);
-    const std::size_t n = source_->read_some(buf);
-    if (n == 0) break;
-    dos().write(util::ByteSpan(buf.data(), n));
+      pump_(chunk) {
+  if (!source_->pollable()) {
+    throw std::invalid_argument("ByteReaderEndpoint: source is not pollable");
   }
-  util::BufferPool::local().release(std::move(buf));
 }
 
 void ByteReaderEndpoint::event_start() {
   ev_watch_.bind(event_scheduler());
   source_->set_ready_watcher(&ev_watch_);
-  ev_buf_.clear();
-  ev_off_ = 0;
-  ev_parked_ = false;
 }
 
 void ByteReaderEndpoint::event_stop() {
   source_->set_ready_watcher(nullptr);
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-bool ByteReaderEndpoint::flush_ev_parked() {
-  if (!ev_parked_) return true;
-  const std::size_t w =
-      dos().try_write_some(util::ByteSpan(ev_buf_).subspan(ev_off_));
-  ev_off_ += w;
-  if (ev_off_ < ev_buf_.size()) return false;  // writable watcher armed
-  ev_parked_ = false;
-  ev_off_ = 0;
-  return true;
+  pump_.reset();
 }
 
 Filter::Drive ByteReaderEndpoint::on_ready() {
-  // Backpressure first: parked bytes must reach the ring before any new
-  // read, or the stream would reorder.
-  if (!flush_ev_parked()) return Drive::kIdle;
-  if (ev_buf_.capacity() == 0) {
-    // Lazily acquired on the loop thread so the buffer cycles through the
-    // worker's own arena, not the control thread's.
-    ev_buf_ = util::BufferPool::local().acquire(chunk_);
-  }
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    ev_buf_.resize(chunk_);
-    const std::size_t n = source_->poll_read_borrow(
-        chunk_,
-        [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
-          if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
-          }
-          return a.size() + b.size();
-        },
-        &end);
-    if (n == 0) {
-      ev_buf_.clear();
-      // Exhausted means run() would have returned: kDone without closing
-      // the DOS (removal protocol); empty-and-open armed the watcher.
-      return end ? Drive::kDone : Drive::kIdle;
-    }
-    ev_buf_.resize(n);
-    const std::size_t w = dos().try_write_some(ev_buf_);
-    if (w < n) {
-      ev_parked_ = true;
-      ev_off_ = w;
-      return Drive::kIdle;  // writable watcher armed by the short write
-    }
-  }
-  return Drive::kMore;
+  return pump_.run(*source_, dos());
 }
-
-ByteWriterEndpoint::ByteWriterEndpoint(std::string name,
-                                       std::shared_ptr<util::ByteSink> sink,
-                                       std::size_t buffer_capacity)
-    : Filter(std::move(name), buffer_capacity), sink_(std::move(sink)) {}
 
 namespace {
 constexpr std::size_t kWriterChunk = 4096;
 }  // namespace
 
-void ByteWriterEndpoint::run() {
-  util::Bytes buf = util::BufferPool::local().acquire(kWriterChunk);
-  for (;;) {
-    buf.resize(kWriterChunk);
-    const std::size_t n = dis().read_some(buf);
-    if (n == 0) break;
-    sink_->write(util::ByteSpan(buf.data(), n));
+ByteWriterEndpoint::ByteWriterEndpoint(std::string name,
+                                       std::shared_ptr<util::ByteSink> sink,
+                                       std::size_t buffer_capacity)
+    : Filter(std::move(name), buffer_capacity),
+      sink_(std::move(sink)),
+      pump_(kWriterChunk) {
+  if (!sink_->pollable()) {
+    throw std::invalid_argument("ByteWriterEndpoint: sink is not pollable");
   }
-  sink_->flush();
-  util::BufferPool::local().release(std::move(buf));
 }
 
 void ByteWriterEndpoint::event_start() {
   ev_watch_.bind(event_scheduler());
   sink_->set_ready_watcher(&ev_watch_);
-  ev_buf_.clear();
-  ev_off_ = 0;
-  ev_parked_ = false;
 }
 
 void ByteWriterEndpoint::event_stop() {
   sink_->set_ready_watcher(nullptr);
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_off_ = 0;
-  ev_parked_ = false;
-}
-
-bool ByteWriterEndpoint::flush_ev_parked() {
-  if (!ev_parked_) return true;
-  const std::size_t w =
-      sink_->try_write_some(util::ByteSpan(ev_buf_).subspan(ev_off_));
-  ev_off_ += w;
-  if (ev_off_ < ev_buf_.size()) return false;  // sink watcher armed
-  ev_parked_ = false;
-  ev_off_ = 0;
-  return true;
+  pump_.reset();
 }
 
 Filter::Drive ByteWriterEndpoint::on_ready() {
-  if (!flush_ev_parked()) return Drive::kIdle;
-  if (ev_buf_.capacity() == 0) {
-    ev_buf_ = util::BufferPool::local().acquire(kWriterChunk);
-  }
-  for (int budget = 0; budget < kDriveBudget; ++budget) {
-    bool end = false;
-    ev_buf_.resize(kWriterChunk);
-    const std::size_t n = dis().poll_read_borrow(
-        kWriterChunk,
-        [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
-          if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
-          }
-          return a.size() + b.size();
-        },
-        &end);
-    if (n == 0) {
-      ev_buf_.clear();
-      if (!end) return Drive::kIdle;  // readable watcher armed
-      sink_->flush();
-      return Drive::kDone;
-    }
-    ev_buf_.resize(n);
-    const std::size_t w = sink_->try_write_some(ev_buf_);
-    if (w < n) {
-      ev_parked_ = true;
-      ev_off_ = w;
-      return Drive::kIdle;  // sink's ready watcher armed by the short write
-    }
-  }
-  return Drive::kMore;
+  const Drive drive = pump_.run(dis(), *sink_);
+  if (drive == Drive::kDone) sink_->flush();
+  return drive;
 }
 
 std::optional<util::Bytes> QueuePacketSource::next_packet() {

@@ -21,25 +21,24 @@
 
 namespace rapidware::core {
 
-/// Blocking packet producer for reader endpoints.
+/// Packet producer for reader endpoints.
 class PacketSource {
  public:
   virtual ~PacketSource() = default;
 
   /// Blocks for the next packet; nullopt means the source is exhausted or
-  /// was interrupted.
+  /// was interrupted. For direct consumers — reader endpoints only poll.
   virtual std::optional<util::Bytes> next_packet() = 0;
 
   /// Unblocks a pending or future next_packet() call, making it return
   /// nullopt. Called from another thread to stop the endpoint.
   virtual void interrupt() {}
 
-  // Optional non-blocking surface (event-hosted reader endpoints). A source
-  // that returns true from pollable() must implement poll_packet() and
-  // set_scheduler(): a poll that finds the queue empty arms the registered
-  // scheduler, whose on_readable() fires exactly once when a packet (or
-  // the finished flag) arrives — the same one-shot contract the detachable
-  // streams use.
+  // Non-blocking surface, required by PacketReaderEndpoint. A pollable
+  // source implements poll_packet() and set_scheduler(): a poll that finds
+  // the queue empty arms the registered scheduler, whose on_readable()
+  // fires exactly once when a packet (or the finished flag) arrives — the
+  // same one-shot contract the detachable streams use.
 
   /// Whether this source supports the poll_packet()/set_scheduler() pair.
   virtual bool pollable() const { return false; }
@@ -50,8 +49,9 @@ class PacketSource {
   virtual std::optional<util::Bytes> poll_packet(bool* finished);
 
   /// Registers (or, with nullptr, clears) the readiness target for
-  /// poll_packet() would-blocks. The callback runs under the source's
-  /// internal lock and must only post, never re-enter the source.
+  /// poll_packet() would-blocks. The callback may run under the source's
+  /// internal lock and must only post, never re-enter the source. Once a
+  /// clearing call returns, no callback is running or will start.
   virtual void set_scheduler(Scheduler*) {}
 };
 
@@ -68,6 +68,7 @@ class PacketSink {
 /// framed messages (the paper's EndPointSocketReader shape).
 class PacketReaderEndpoint final : public Filter {
  public:
+  /// `source` must be pollable (std::invalid_argument otherwise).
   /// `buffer_capacity` sizes this endpoint's own (unused) input ring; it
   /// exists so dense many-chain deployments can shrink the per-stage ring
   /// footprint (bench_many_chains runs thousands of chains per worker).
@@ -75,12 +76,8 @@ class PacketReaderEndpoint final : public Filter {
                        std::size_t buffer_capacity =
                            DetachableInputStream::kDefaultCapacity);
 
-  /// Asks the source to stop; run() then exits after the current packet.
+  /// Asks the source to stop; the run then ends after the current packet.
   void interrupt() override { source_->interrupt(); }
-
-  /// Event-hostable only when the source offers the non-blocking surface;
-  /// otherwise start_on() falls back to the thread shim.
-  bool event_capable() const override { return source_->pollable(); }
 
   std::uint64_t packets_read() const noexcept {
     return packets_.load(std::memory_order_relaxed);
@@ -89,12 +86,10 @@ class PacketReaderEndpoint final : public Filter {
   void register_metrics(obs::Scope scope) override;
 
  protected:
-  void run() override;
-
-  /// Event drive: poll packets from the source and frame them downstream.
-  /// A frame that finds the ring full is parked (one-deep stash) and
-  /// retried on the writable callback; source exhaustion reaches kDone
-  /// without closing the DOS — exactly like run() returning.
+  /// Poll packets from the source and frame them downstream. A frame that
+  /// finds the ring full is parked (one-deep stash) and retried on the
+  /// writable callback; source exhaustion reaches kDone without closing
+  /// the DOS (removal protocol).
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -102,8 +97,7 @@ class PacketReaderEndpoint final : public Filter {
  private:
   std::shared_ptr<PacketSource> source_;
   std::atomic<std::uint64_t> packets_{0};
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::optional<util::Bytes> ev_parked_;  // payload awaiting ring space
 };
 
@@ -115,8 +109,6 @@ class PacketWriterEndpoint final : public Filter {
                        std::size_t buffer_capacity =
                            DetachableInputStream::kDefaultCapacity);
 
-  bool event_capable() const override { return true; }
-
   std::uint64_t packets_written() const noexcept {
     return packets_.load(std::memory_order_relaxed);
   }
@@ -124,11 +116,9 @@ class PacketWriterEndpoint final : public Filter {
   void register_metrics(obs::Scope scope) override;
 
  protected:
-  void run() override;
-
-  /// Event drive: batched FrameReader::poll() pulls, each frame delivered
-  /// to the sink inline (sinks are non-blocking consumers by contract).
-  /// EOF calls on_end() once, then kDone.
+  /// Batched FrameReader::poll() pulls, each frame delivered to the sink
+  /// inline (sinks are non-blocking consumers by contract). EOF calls
+  /// on_end() once, then kDone.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -136,17 +126,16 @@ class PacketWriterEndpoint final : public Filter {
  private:
   std::shared_ptr<PacketSink> sink_;
   std::atomic<std::uint64_t> packets_{0};
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::unique_ptr<util::FrameReader> ev_frames_;
   bool ev_ended_ = false;  // on_end() already delivered this run
 };
 
 /// Adapts a util::ReadyWatcher fire into a core::Scheduler re-drive —
-/// the bridge that lets event-hosted byte endpoints watch any pollable
-/// util::ByteSource/ByteSink (which cannot reference core::Scheduler from
-/// the util layer). Fired possibly under the source/sink's lock: only
-/// posts, per both contracts.
+/// the bridge that lets byte endpoints and socket sources watch any
+/// pollable util::ByteSource/ByteSink or net::SimSocket (which cannot
+/// reference core::Scheduler from lower layers). Fired possibly under the
+/// watched object's lock: only posts, per both contracts.
 class IoReadyForwarder final : public util::ReadyWatcher {
  public:
   void bind(Scheduler* target) noexcept { target_ = target; }
@@ -158,8 +147,9 @@ class IoReadyForwarder final : public util::ReadyWatcher {
   Scheduler* target_ = nullptr;
 };
 
-/// Byte-oriented reader endpoint over any util::ByteSource (the paper's
-/// EndPointStreamReader): file, in-memory buffer, generator.
+/// Byte-oriented reader endpoint over any pollable util::ByteSource (the
+/// paper's EndPointStreamReader): file, in-memory buffer, generator. A
+/// source that is not pollable is rejected (std::invalid_argument).
 class ByteReaderEndpoint final : public Filter {
  public:
   ByteReaderEndpoint(std::string name, std::shared_ptr<util::ByteSource> source,
@@ -167,64 +157,38 @@ class ByteReaderEndpoint final : public Filter {
                      std::size_t buffer_capacity =
                          DetachableInputStream::kDefaultCapacity);
 
-  /// Event-hostable only over a pollable source (a blocking one keeps the
-  /// thread shim via start_on's fallback).
-  bool event_capable() const override { return source_->pollable(); }
-
  protected:
-  void run() override;
-
-  /// Event drive: poll the source into the recycled chunk buffer, push it
-  /// downstream with try_write_some, park the unwritten suffix on
-  /// backpressure (input is not consumed while anything is parked). EOF
-  /// drains the park, then kDone — like run() returning.
+  /// Pumps the source into the DOS; EOF reaches kDone without closing the
+  /// DOS (removal protocol).
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
 
  private:
-  bool flush_ev_parked();
-
   std::shared_ptr<util::ByteSource> source_;
-  std::size_t chunk_;
-  // Event-mode state; loop-thread-only between the first drive and the
-  // final one (the chunk buffer is acquired lazily ON the loop thread so
-  // it comes from — and returns to — the worker's arena).
   IoReadyForwarder ev_watch_;
-  util::Bytes ev_buf_;
-  std::size_t ev_off_ = 0;  // written prefix of the parked ev_buf_
-  bool ev_parked_ = false;
+  BytePump pump_;
 };
 
-/// Byte-oriented writer endpoint over any util::ByteSink.
+/// Byte-oriented writer endpoint over any pollable util::ByteSink.
 class ByteWriterEndpoint final : public Filter {
  public:
   ByteWriterEndpoint(std::string name, std::shared_ptr<util::ByteSink> sink,
                      std::size_t buffer_capacity =
                          DetachableInputStream::kDefaultCapacity);
 
-  /// Event-hostable only over a pollable sink.
-  bool event_capable() const override { return sink_->pollable(); }
-
  protected:
-  void run() override;
-
-  /// Event drive: batched poll_read_borrow pulls from the chain, pushed
-  /// into the sink with try_write_some; a short sink write parks the
-  /// suffix until the sink's ready watcher fires. EOF flushes, then kDone.
+  /// Pumps the DIS into the sink; a short sink write parks the suffix
+  /// until the sink's ready watcher fires. EOF flushes the sink, then
+  /// kDone.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
 
  private:
-  bool flush_ev_parked();
-
   std::shared_ptr<util::ByteSink> sink_;
-  // Event-mode state; loop-thread-only (see ByteReaderEndpoint).
   IoReadyForwarder ev_watch_;
-  util::Bytes ev_buf_;
-  std::size_t ev_off_ = 0;
-  bool ev_parked_ = false;
+  BytePump pump_;
 };
 
 /// In-memory packet source backed by a queue; push() feeds the endpoint,

@@ -102,6 +102,11 @@ void EventLoop::stop() {
   cv_.notify_all();
 }
 
+bool EventLoop::stopping() const {
+  rw::MutexLock lk(mu_);
+  return stop_;
+}
+
 void EventLoop::sync() {
   if (on_loop_thread()) return;  // inside a task: already ordered
   struct Barrier {

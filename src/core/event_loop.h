@@ -60,6 +60,10 @@ class EventLoop {
   /// Asks run() to return once the queue drains. Thread-safe, idempotent.
   void stop();
 
+  /// True once stop() was called: the loop will not drive new work after
+  /// its queue drains, so nothing should be placed on it any more.
+  bool stopping() const;
+
   /// True when the caller IS the loop thread (inside a task or timer).
   bool on_loop_thread() const {
     return thread_id_.load(std::memory_order_acquire) ==

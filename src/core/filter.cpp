@@ -13,7 +13,7 @@ namespace rapidware::core {
 
 namespace detail {
 
-/// Shared hosting state of one event-mode filter run. Tasks capture a
+/// Shared hosting state of one filter run. Tasks capture a
 /// shared_ptr, so a late readiness fire can never dangle: `alive` flips
 /// false in finish_event() ON the loop thread, and because all of a core's
 /// tasks serialize on that one thread, any task posted after the final
@@ -42,6 +42,9 @@ struct FilterEventCore final : Scheduler,
 
   Filter* const filter;
   EventLoop* const loop;
+  // A composite's core, re-driven after this run's final drive (set once
+  // before the first schedule(); see Filter::start_child).
+  std::weak_ptr<FilterEventCore> parent;
   std::atomic<bool> alive{true};
   std::atomic<bool> scheduled{false};
 
@@ -58,60 +61,47 @@ Filter::Filter(std::string name, std::size_t buffer_capacity)
       dos_(std::make_unique<DetachableOutputStream>()) {}
 
 Filter::~Filter() {
-  // Unblock and reap the processing thread if the owner forgot to.
+  // Close both streams so a drive parked on either side reaches
+  // Drive::kDone (a parked try_write turns into BrokenPipe), then wait for
+  // that final drive.
   dis_->close();
-  if (event_core_ && event_hosted_.load(std::memory_order_acquire)) {
-    // A hosted drive parked on downstream backpressure holds no thread we
-    // could join; closing the DOS turns its parked try_write into
-    // BrokenPipe so the final drive reaches Drive::kDone.
-    dos_->close();
-  }
-  if (thread_.joinable()) thread_.join();
-  if (const std::shared_ptr<detail::FilterEventCore> core = event_core_) {
-    rw::MutexLock lk(core->mu);
-    core->done_cv.wait(core->mu, [c = core.get()] {
-      c->mu.assert_held();
-      return c->done;
-    });
-  }
+  if (running()) dos_->close();
+  join();
 }
 
-void Filter::start() {
-  if (running_.load(std::memory_order_acquire)) {
-    throw StreamError("Filter::start: already running");
-  }
-  if (thread_.joinable()) thread_.join();  // reap a previous run
-  event_core_.reset();  // a previous hosted run is fully finished here
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { thread_main(); });
+void Filter::start_on(EventLoop& loop) { host(loop, {}); }
+
+void Filter::start_child(Filter& child) {
+  child.host(*event_core_->loop, event_core_);
 }
 
-void Filter::start_on(EventLoop& loop) {
-  if (!event_capable()) {
-    // Blocking shim: subclasses without a non-blocking drive keep their
-    // thread, and the chain transparently mixes both styles.
-    start();
-    return;
-  }
+void Filter::host(EventLoop& loop,
+                  std::weak_ptr<detail::FilterEventCore> parent) {
   if (running_.load(std::memory_order_acquire)) {
-    throw StreamError("Filter::start: already running");
+    throw StreamError("Filter::start_on: already running");
   }
-  if (thread_.joinable()) thread_.join();  // reap a previous thread run
+  // A previous run is fully finished here (running_ cleared by its final
+  // drive), so its core can go.
   event_core_ = std::make_shared<detail::FilterEventCore>(this, &loop);
+  event_core_->parent = std::move(parent);
   running_.store(true, std::memory_order_release);
-  event_hosted_.store(true, std::memory_order_release);
-  event_start();
+  try {
+    event_start();
+  } catch (...) {
+    event_core_.reset();  // nothing was scheduled: the run never began
+    running_.store(false, std::memory_order_release);
+    throw;
+  }
   dis_->set_read_scheduler(event_core_.get());
   dos_->set_write_scheduler(event_core_.get());
   event_core_->schedule();  // input (or an EOF) may already be waiting
 }
 
 void Filter::join() {
-  if (thread_.joinable()) thread_.join();
   if (const std::shared_ptr<detail::FilterEventCore> core = event_core_) {
     // Must not be called from the filter's own worker: the drive that
     // would set `done` runs behind this very task. Control-plane threads
-    // only (FilterChain serializes them), like thread-mode join().
+    // only (FilterChain serializes them).
     rw::MutexLock lk(core->mu);
     core->done_cv.wait(core->mu, [c = core.get()] {
       c->mu.assert_held();
@@ -129,9 +119,9 @@ void Filter::drive_event(detail::FilterEventCore& core) {
   try {
     drive = on_ready();
   } catch (const BrokenPipe&) {
-    // Downstream went away; normal during teardown. Mirror thread_main:
-    // close the input so upstream writers cannot wedge against a ring
-    // nobody will drain.
+    // Downstream went away; normal during teardown. Close the input so
+    // upstream writers observe BrokenPipe instead of wedging against a
+    // ring nobody will ever drain — a dead tail must not wedge the chain.
     dis_->close();
     drive = Drive::kDone;
   } catch (const std::exception& e) {
@@ -159,11 +149,13 @@ void Filter::finish_event(detail::FilterEventCore& core) {
   dos_->set_write_scheduler(nullptr);
   event_stop();
   core.alive.store(false, std::memory_order_release);
-  event_hosted_.store(false, std::memory_order_release);
   running_.store(false, std::memory_order_release);
-  rw::MutexLock lk(core.mu);
-  core.done = true;
-  core.done_cv.notify_all();
+  {
+    rw::MutexLock lk(core.mu);
+    core.done = true;
+    core.done_cv.notify_all();
+  }
+  if (const auto parent = core.parent.lock()) parent->schedule();
 }
 
 void Filter::detach_request() { dis_->mark_soft_eof(); }
@@ -194,128 +186,70 @@ void Filter::register_metrics(obs::Scope scope) {
   });
 }
 
-void Filter::thread_main() {
-  try {
-    run();
-    running_.store(false, std::memory_order_release);
-    return;
-  } catch (const BrokenPipe&) {
-    // Downstream went away; normal during teardown.
-  } catch (const std::exception& e) {
-    RW_ERROR(name_) << "filter loop failed: " << e.what();
-  }
-  // The loop died without draining its input. Close the DIS so upstream
-  // writers observe BrokenPipe instead of blocking forever against a ring
-  // nobody will ever drain — a dead tail must not wedge the whole chain.
-  dis_->close();
-  running_.store(false, std::memory_order_release);
-}
-
-void ByteFilter::run() {
-  // One buffer cycles through the whole loop: filled by the read, handed to
-  // process() by value, and whatever process() returns (the same buffer,
-  // for pass-through filters) is reused for the next read. Zero per-chunk
-  // allocations in steady state.
-  auto& pool = util::BufferPool::local();
-  util::Bytes buf = pool.acquire(kChunk);
-  for (;;) {
-    buf.resize(kChunk);
-    const std::size_t n = dis().read_some(buf);
-    if (n == 0) break;
-    buf.resize(n);
-    util::Bytes out = process(std::move(buf));
-    if (!out.empty()) dos().write(out);
-    buf = std::move(out);  // recycle the returned capacity
-  }
-  util::Bytes tail = flush_tail();  // rw-lint: allow(RW006) once at stream end, not per chunk
-  if (!tail.empty()) dos().write(tail);
-  pool.release(std::move(buf));
-}
-
-void ByteFilter::event_start() {
-  ev_buf_ = util::BufferPool::local().acquire(kChunk);
-  ev_out_.clear();
-  ev_out_off_ = 0;
-  ev_tail_done_ = false;
-}
-
-void ByteFilter::event_stop() {
-  util::BufferPool::local().release(std::move(ev_buf_));
-  ev_out_.clear();
-  ev_out_off_ = 0;
-}
-
-bool ByteFilter::flush_ev_out() {
-  while (!ev_out_.empty()) {
-    util::Bytes& front = ev_out_.front();
-    const std::size_t w =
-        dos().try_write_some(util::ByteSpan(front).subspan(ev_out_off_));
-    ev_out_off_ += w;
-    if (ev_out_off_ < front.size()) return false;  // writable watcher armed
-    util::BufferPool::local().release(std::move(front));
-    ev_out_.pop_front();
-    ev_out_off_ = 0;
-  }
+bool Filter::BytePump::flush_parked(util::ByteSink& to) {
+  if (!parked_) return true;
+  off_ += to.try_write_some(util::ByteSpan(buf_).subspan(off_));
+  if (off_ < buf_.size()) return false;  // the sink's watcher is armed
+  parked_ = false;
+  off_ = 0;
   return true;
 }
 
-Filter::Drive ByteFilter::on_ready() {
-  if (!flush_ev_out()) return Drive::kIdle;
+Filter::Drive Filter::BytePump::run(util::ByteSource& from,
+                                    util::ByteSink& to) {
+  if (!flush_parked(to)) return Drive::kIdle;
+  if (ended_) return Drive::kDone;  // the tail just drained
   for (int budget = 0; budget < kDriveBudget; ++budget) {
+    if (buf_.capacity() == 0) {
+      // From the loop thread's arena (the worker's, not the control
+      // thread's), and again whenever process() kept the buffer.
+      buf_ = util::BufferPool::local().acquire(chunk_);
+    }
     bool end = false;
-    ev_buf_.resize(kChunk);
-    const std::size_t n = dis().poll_read_borrow(
-        kChunk,
+    buf_.resize(chunk_);
+    const std::size_t n = from.poll_read_borrow(
+        chunk_,
         [this](util::ByteSpan a, util::ByteSpan b) -> std::size_t {
-          // One copy into the recycled chunk buffer — the event-mode twin
-          // of read_some()'s copy in run().
-          std::memcpy(ev_buf_.data(), a.data(), a.size());
+          std::memcpy(buf_.data(), a.data(), a.size());
           if (!b.empty()) {
-            std::memcpy(ev_buf_.data() + a.size(), b.data(), b.size());
+            std::memcpy(buf_.data() + a.size(), b.data(), b.size());
           }
           return a.size() + b.size();
         },
         &end);
     if (n == 0) {
-      ev_buf_.clear();
-      if (!end) return Drive::kIdle;  // readable watcher armed
-      if (!ev_tail_done_) {
-        ev_tail_done_ = true;
-        util::Bytes tail = flush_tail();
-        if (!tail.empty()) ev_out_.push_back(std::move(tail));
-      }
-      return flush_ev_out() ? Drive::kDone : Drive::kIdle;
+      buf_.clear();
+      // Empty-and-open armed the source's watcher. An ended source is
+      // done without closing the sink (removal protocol), once the tail
+      // is out.
+      if (!end) return Drive::kIdle;
+      ended_ = true;
+      util::Bytes tail = flush_tail();  // rw-lint: allow(RW006) once at stream end, not per chunk
+      if (tail.empty()) return Drive::kDone;
+      util::BufferPool::local().release(std::move(buf_));
+      buf_ = std::move(tail);
+      parked_ = true;
+      return flush_parked(to) ? Drive::kDone : Drive::kIdle;
     }
-    ev_buf_.resize(n);
-    util::Bytes out = process(std::move(ev_buf_));
-    if (!out.empty()) {
-      const std::size_t w = dos().try_write_some(out);
-      if (w < out.size()) {
-        // Parked behind backpressure: keep the unwritten suffix, stop
-        // reading input until the writable callback drains it.
-        ev_out_.push_back(std::move(out));
-        ev_out_off_ = w;
-        ev_buf_ = util::Bytes();
-        return Drive::kIdle;
-      }
+    buf_.resize(n);
+    buf_ = process(std::move(buf_));  // the same buffer, for pass-through
+    if (buf_.empty()) continue;
+    const std::size_t w = to.try_write_some(buf_);
+    if (w < buf_.size()) {
+      parked_ = true;
+      off_ = w;
+      return Drive::kIdle;  // the short write armed the sink's watcher
     }
-    ev_buf_ = std::move(out);  // recycle the returned capacity
   }
   return Drive::kMore;
 }
 
-void PacketFilter::run() {
-  // FrameReader batches frame parsing (many frames per stream-lock
-  // acquisition) and draws payload buffers from the pool; emit(Bytes&&)
-  // returns them, closing the recycle loop.
-  util::FrameReader frames(dis());
-  for (;;) {
-    auto packet = frames.next();
-    if (!packet) break;
-    packets_in_.fetch_add(1, std::memory_order_relaxed);
-    on_packet(std::move(*packet));
-  }
-  on_flush();
+void Filter::BytePump::reset() {
+  util::BufferPool::local().release(std::move(buf_));
+  buf_ = util::Bytes();
+  off_ = 0;
+  parked_ = false;
+  ended_ = false;
 }
 
 void PacketFilter::event_start() {
@@ -335,18 +269,6 @@ bool PacketFilter::flush_ev_pending() {
     ev_pending_.pop_front();
   }
   return true;
-}
-
-void PacketFilter::ev_emit(util::Bytes&& packet) {
-  // Frames stay whole: all-or-nothing try_write_frame, with the packet
-  // parked (move, no copy) when downstream is full or mid-splice. Input is
-  // not consumed while anything is parked, so the backlog is bounded by
-  // one on_packet()'s emissions.
-  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) {
-    util::BufferPool::local().release(std::move(packet));
-    return;
-  }
-  ev_pending_.push_back(std::move(packet));
 }
 
 Filter::Drive PacketFilter::on_ready() {
@@ -373,25 +295,25 @@ void PacketFilter::emit(util::ByteSpan packet) {
   // Count before the frame becomes observable downstream so a STATS read
   // triggered by the packet's arrival never sees the counter lagging it.
   packets_out_.fetch_add(1, std::memory_order_relaxed);
-  if (event_hosted()) {
-    util::Bytes copy = util::BufferPool::local().acquire(packet.size());
-    if (!packet.empty()) {
-      std::memcpy(copy.data(), packet.data(), packet.size());
-    }
-    ev_emit(std::move(copy));
-    return;
+  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) return;
+  util::Bytes copy = util::BufferPool::local().acquire(packet.size());
+  if (!packet.empty()) {
+    std::memcpy(copy.data(), packet.data(), packet.size());
   }
-  util::write_frame(dos(), packet);
+  ev_pending_.push_back(std::move(copy));
 }
 
 void PacketFilter::emit(util::Bytes&& packet) {
   packets_out_.fetch_add(1, std::memory_order_relaxed);
-  if (event_hosted()) {
-    ev_emit(std::move(packet));
+  // Frames stay whole: all-or-nothing try_write_frame, with the packet
+  // parked (move, no copy) when downstream is full or mid-splice. Input is
+  // not consumed while anything is parked, so the backlog is bounded by
+  // one on_packet()'s emissions.
+  if (ev_pending_.empty() && util::try_write_frame(dos(), packet)) {
+    util::BufferPool::local().release(std::move(packet));
     return;
   }
-  util::write_frame(dos(), packet);
-  util::BufferPool::local().release(std::move(packet));
+  ev_pending_.push_back(std::move(packet));
 }
 
 void PacketFilter::register_metrics(obs::Scope scope) {

@@ -2,18 +2,22 @@
 //
 // Every proxy filter owns one DetachableInputStream and one
 // DetachableOutputStream — always present, so the ControlThread/FilterChain
-// can splice the filter in and out of a running stream. A filter runs its
-// processing loop on its own thread between start() and the loop's exit.
+// can splice the filter in and out of a running stream. A filter runs
+// hosted on a core::EventLoop between start_on() and its final drive: the
+// loop calls on_ready() whenever one of its streams becomes ready, so an
+// idle filter holds no OS thread. The paper's thread-per-filter layout is
+// the special case of one dedicated loop per filter.
 //
 // Two processing styles:
-//   * ByteFilter   — run() reads raw byte chunks and transforms them;
-//   * PacketFilter — run() reads length-prefixed frames (util::framing) and
+//   * ByteFilter   — transforms raw byte chunks;
+//   * PacketFilter — reads length-prefixed frames (util::framing) and
 //     handles whole packets, which is how stream-type-specific insertion
 //     points ("frame boundaries", Section 3) are honoured.
 //
 // Removal protocol: the chain marks the filter's DIS with a soft EOF; the
-// loop observes end-of-stream, calls the flush hook (e.g. emit a partial FEC
-// group), and exits WITHOUT closing its DOS, so downstream stays connected.
+// drive observes end-of-stream, calls the flush hook (e.g. emit a partial
+// FEC group), and finishes WITHOUT closing its DOS, so downstream stays
+// connected.
 #pragma once
 
 #include <atomic>
@@ -21,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "core/detachable_stream.h"
 #include "obs/metrics.h"
@@ -54,40 +57,26 @@ class Filter {
   DetachableInputStream& dis() noexcept { return *dis_; }
   DetachableOutputStream& dos() noexcept { return *dos_; }
 
-  /// Spawns the processing thread. May be called again after the previous
-  /// run exited (filters are restartable so a removed filter can be
-  /// re-inserted elsewhere in the chain).
-  void start();
-
-  /// Hosts the filter on an event loop instead of a thread: the loop
-  /// drives on_ready() whenever a stream readiness callback fires, so the
-  /// filter consumes no OS thread while idle. Falls back to start() when
-  /// the subclass is not event_capable() — that is the blocking shim that
-  /// keeps thread-per-filter code working unchanged. Restartable exactly
-  /// like start().
+  /// Hosts the filter on `loop`: the loop drives on_ready() whenever a
+  /// stream readiness callback fires, so the filter consumes no OS thread
+  /// while idle. Filters are restartable — a removed filter can be
+  /// re-inserted elsewhere once its previous run finished. Throws
+  /// StreamError while a run is still in progress.
   void start_on(EventLoop& loop);
 
-  /// Whether this subclass implements the non-blocking on_ready() drive.
-  /// Event-incapable filters hosted via start_on() silently run in thread
-  /// mode (the shim), so a chain may mix both styles.
-  virtual bool event_capable() const { return false; }
-
-  /// True while hosted on an event loop (between start_on() and the drive
-  /// reaching Drive::kDone).
-  bool event_hosted() const noexcept {
-    return event_hosted_.load(std::memory_order_acquire);
-  }
-
-  /// True while the processing loop is executing.
+  /// True while a run is in progress: hosted on a loop, between
+  /// start_on() and the drive reaching Drive::kDone.
   bool running() const noexcept {
     return running_.load(std::memory_order_acquire);
   }
+  bool event_hosted() const noexcept { return running(); }
 
-  /// Waits for the processing loop to exit. Does not itself request the
-  /// exit — use detach_request() or close the input first.
+  /// Waits for the run to finish. Does not itself request the exit — use
+  /// detach_request() or close the input first. A control-plane call: it
+  /// must never run on the filter's own loop, whose drive it waits for.
   void join();
 
-  /// Asks the loop to finish: drains the input via soft EOF. Pair with
+  /// Asks the run to finish: drains the input via soft EOF. Pair with
   /// join().
   void detach_request();
 
@@ -120,23 +109,20 @@ class Filter {
   virtual void register_metrics(obs::Scope scope);
 
  protected:
-  /// The processing loop body; runs on the filter's thread.
-  virtual void run() = 0;
-
-  /// What one on_ready() drive concluded (event-hosted mode).
+  /// What one on_ready() drive concluded.
   enum class Drive {
     kIdle,  // would-block: a readiness watcher is armed, wait for it
     kMore,  // work budget exhausted; re-post so other chains get a turn
-    kDone,  // stream ended (run() returning, in thread terms)
+    kDone,  // stream ended: the run finishes
   };
 
   /// One non-blocking drive: pull input via the poll APIs until would-block
   /// or the per-iteration budget is spent. Runs on the loop thread; must
-  /// never block (the whole point — rw_lint RW008 polices the loop).
-  /// Subclasses that return true from event_capable() must override.
-  virtual Drive on_ready() { return Drive::kDone; }
+  /// never block (the whole point — a blocked drive stalls every chain
+  /// sharing the worker).
+  virtual Drive on_ready() = 0;
 
-  /// Hosted-run lifecycle hooks, called on the control thread in start_on()
+  /// Run lifecycle hooks, called on the control thread in start_on()
   /// (before the first drive) and on the loop thread after the final one.
   /// Reset per-run decode state here (FrameReader, pending buffers).
   virtual void event_start() {}
@@ -144,33 +130,72 @@ class Filter {
 
   /// The readiness target for auxiliary inputs (endpoint packet sources
   /// register this with set_scheduler). Valid between event_start() and
-  /// event_stop(); null in thread mode.
+  /// event_stop().
   Scheduler* event_scheduler() const noexcept;
+
+  /// Hosts `child` on this filter's loop (valid from event_start() on) and
+  /// re-drives this filter once the child's run finishes — how a composite
+  /// sequences its children's flushes without ever joining them.
+  void start_child(Filter& child);
 
   /// Per-drive work budget: after this many packets/chunks the drive
   /// returns kMore, yielding the worker to other chains (fairness under
   /// run-to-completion dispatch).
   static constexpr int kDriveBudget = 64;
 
+  /// Moves bytes from a pollable source into a pollable sink through one
+  /// recycled chunk buffer, never blocking: the drive body of ByteFilter,
+  /// of the byte endpoints and of a composite's bridges. Each chunk passes
+  /// through process(); once the source ends, flush_tail()'s bytes go out
+  /// last. A chunk the sink only partly accepts is parked and finished
+  /// first on the next run(), and no input is read while bytes are
+  /// parked, so the stream never reorders.
+  class BytePump {
+   public:
+    explicit BytePump(std::size_t chunk) : chunk_(chunk) {}
+    virtual ~BytePump() = default;
+
+    /// Up to kDriveBudget chunks. kIdle: one side would block and its
+    /// watcher is armed; kDone: the source ended and everything, the tail
+    /// included, reached the sink.
+    Drive run(util::ByteSource& from, util::ByteSink& to);
+
+    /// Ends a run: returns the buffer to the calling thread's arena and
+    /// readies the pump for the next run.
+    void reset();
+
+   protected:
+    /// Transform hooks; the plain pump copies bytes through unchanged.
+    virtual util::Bytes process(util::Bytes in) { return in; }
+    virtual util::Bytes flush_tail() { return {}; }
+
+   private:
+    bool flush_parked(util::ByteSink& to);
+
+    const std::size_t chunk_;
+    util::Bytes buf_;      // from the loop thread's arena
+    std::size_t off_ = 0;  // written prefix of a parked buf_
+    bool parked_ = false;
+    bool ended_ = false;   // the source ended; flush_tail() already ran
+  };
+
  private:
   friend struct detail::FilterEventCore;
 
-  void thread_main();
+  void host(EventLoop& loop, std::weak_ptr<detail::FilterEventCore> parent);
   void drive_event(detail::FilterEventCore& core);
   void finish_event(detail::FilterEventCore& core);
 
   std::string name_;
   std::unique_ptr<DetachableInputStream> dis_;
   std::unique_ptr<DetachableOutputStream> dos_;
-  // Not mutex-guarded by design: start()/join() are control-plane calls,
-  // serialized externally (FilterChain holds its mu_ across every splice).
-  // Only `running_` and `event_hosted_` may be read concurrently, hence
-  // atomic. `event_core_` is written by start_on() and read by join()/the
+  // Not mutex-guarded by design: start_on()/join() are control-plane
+  // calls, serialized externally (FilterChain holds its mu_ across every
+  // splice). Only `running_` may be read concurrently, hence atomic.
+  // `event_core_` is written by start_on() and read by join()/the
   // destructor — both control-plane — and by loop tasks that hold their
   // own shared_ptr copy.
-  std::thread thread_;
   std::atomic<bool> running_{false};
-  std::atomic<bool> event_hosted_{false};
   std::shared_ptr<detail::FilterEventCore> event_core_;
 };
 
@@ -179,19 +204,10 @@ class ByteFilter : public Filter {
  public:
   using Filter::Filter;
 
-  bool event_capable() const override { return true; }
-
  protected:
-  void run() final;
-
-  /// Event-hosted drive: same process()/flush_tail() contract as run(),
-  /// fed by poll_read_borrow and drained by try_write_some. A chunk that
-  /// does not fit downstream is parked in ev_out_ and retried on the
-  /// writable callback; input is not read while output is parked, so the
-  /// parked backlog is bounded by one process() result.
-  Drive on_ready() override;
-  void event_start() override;
-  void event_stop() override;
+  /// The drive: a BytePump from the DIS to the DOS through process().
+  Drive on_ready() override { return pump_.run(dis(), dos()); }
+  void event_stop() override { pump_.reset(); }
 
   /// Transforms `in`; whatever it returns is written downstream. The default
   /// passes data through unchanged.
@@ -202,21 +218,21 @@ class ByteFilter : public Filter {
   virtual util::Bytes flush_tail() { return {}; }
 
   /// Chunk size for reads. Sized to drain a default 64 KiB stream buffer
-  /// in a couple of reads: every read_some() is a lock acquisition (and,
-  /// when the writer is parked, a wakeup), so bigger chunks directly cut
-  /// per-byte synchronization on pass-through hops.
+  /// in a couple of polls: every poll is a lock acquisition, so bigger
+  /// chunks directly cut per-byte synchronization on pass-through hops.
   static constexpr std::size_t kChunk = 32768;
 
  private:
-  bool flush_ev_out();
-
-  // Event-mode state; touched only on the loop thread between
-  // event_start() and the final drive (single-consumer, like run()'s
-  // locals in thread mode).
-  util::Bytes ev_buf_;                 // recycled read/process buffer
-  std::deque<util::Bytes> ev_out_;     // output parked behind backpressure
-  std::size_t ev_out_off_ = 0;         // bytes of ev_out_.front() written
-  bool ev_tail_done_ = false;          // flush_tail() already ran this run
+  /// Routes the pump's transform hooks to this filter's.
+  struct Pump final : BytePump {
+    explicit Pump(ByteFilter& f) : BytePump(kChunk), filter(f) {}
+    util::Bytes process(util::Bytes in) override {
+      return filter.process(std::move(in));
+    }
+    util::Bytes flush_tail() override { return filter.flush_tail(); }
+    ByteFilter& filter;
+  };
+  Pump pump_{*this};
 };
 
 /// Transforms whole framed packets; may emit zero or more packets per input.
@@ -224,18 +240,13 @@ class PacketFilter : public Filter {
  public:
   using Filter::Filter;
 
- public:
   void register_metrics(obs::Scope scope) override;
 
-  bool event_capable() const override { return true; }
-
  protected:
-  void run() final;
-
-  /// Event-hosted drive: batched frames via FrameReader::poll(), the same
-  /// on_packet()/on_flush() contract as run(). Emits that find the
-  /// downstream ring full (or mid-splice) are parked in ev_pending_ and
-  /// retried on the writable callback before any new input is taken.
+  /// The drive: batched frames via FrameReader::poll(), each handed to
+  /// on_packet(). Emits that find the downstream ring full (or mid-splice)
+  /// are parked in ev_pending_ and retried on the writable callback before
+  /// any new input is taken.
   Drive on_ready() override;
   void event_start() override;
   void event_stop() override;
@@ -243,19 +254,20 @@ class PacketFilter : public Filter {
   /// Handles one input packet; call emit() for each output packet.
   virtual void on_packet(util::Bytes packet) = 0;
 
-  /// Called on EOF before the loop exits; emit pending state here.
+  /// Called on EOF before the run finishes; emit pending state here.
   virtual void on_flush() {}
 
-  /// Writes one framed packet downstream.
+  /// Writes one framed packet downstream (copied only if it must park).
+  /// Call from on_packet()/on_flush() only: emits belong to the drive.
   void emit(util::ByteSpan packet);
 
   /// Move-through emit: writes the packet, then recycles its capacity
-  /// through the calling thread's arena (util::BufferPool::local() — the
-  /// worker's pool on an event-hosted drive). A pass-through hop — FrameReader
-  /// acquires from the pool, on_packet forwards with
-  /// emit(std::move(packet)) — touches the allocator zero times per packet
-  /// in steady state (asserted by the pool hit-rate test). Prefer this
-  /// overload whenever the packet buffer is dead after the call.
+  /// through the worker's arena (util::BufferPool::local()). A
+  /// pass-through hop — FrameReader acquires from the pool, on_packet
+  /// forwards with emit(std::move(packet)) — touches the allocator zero
+  /// times per packet in steady state (asserted by the pool hit-rate test).
+  /// Prefer this overload whenever the packet buffer is dead after the
+  /// call.
   void emit(util::Bytes&& packet);
 
   std::uint64_t packets_in() const noexcept {
@@ -267,14 +279,12 @@ class PacketFilter : public Filter {
 
  private:
   bool flush_ev_pending();
-  void ev_emit(util::Bytes&& packet);
 
   // Atomic so snapshot readers can observe them while the loop runs.
   std::atomic<std::uint64_t> packets_in_{0};
   std::atomic<std::uint64_t> packets_out_{0};
 
-  // Event-mode state; loop-thread-only between event_start() and the final
-  // drive.
+  // Run state; loop-thread-only between event_start() and the final drive.
   std::unique_ptr<util::FrameReader> ev_frames_;
   std::deque<util::Bytes> ev_pending_;  // emits parked behind backpressure
   bool ev_flushed_ = false;             // on_flush() already ran this run

@@ -4,9 +4,6 @@
 #include <chrono>
 #include <stdexcept>
 
-#include <cstdlib>
-#include <cstring>
-
 #include "core/composability.h"
 #include "core/worker_pool.h"
 #include "util/buffer_pool.h"
@@ -15,14 +12,6 @@
 namespace rapidware::core {
 
 namespace {
-
-/// RW_DISPATCH=event flips un-hosted chains onto the default worker pool
-/// (the CI matrix runs the whole tier-1 suite this way); anything else
-/// keeps thread-per-filter.
-bool dispatch_default_event() {
-  const char* mode = std::getenv("RW_DISPATCH");
-  return mode != nullptr && std::strcmp(mode, "event") == 0;
-}
 
 /// Reconfiguration events retained by the chain's trace ring: enough to
 /// reconstruct a whole adaptation episode, small enough to dump over STATS.
@@ -80,26 +69,21 @@ EventLoop* FilterChain::host() const {
   return host_;
 }
 
-void FilterChain::start_filter_locked(Filter& f) {
-  if (host_ != nullptr) {
-    f.start_on(*host_);
-  } else {
-    f.start();
-  }
-}
-
 void FilterChain::start() {
   rw::MutexLock lk(mu_);
   if (started_) throw StreamError("FilterChain::start: already started");
-  if (host_ == nullptr && dispatch_default_event()) {
+  if (host_ == nullptr) {
     // try_next, not next: a chain started while the default pool is
-    // stopping (static destruction, a test's teardown) falls back to
-    // thread dispatch instead of pinning its filters on a loop that will
-    // never drive them.
+    // stopping (static destruction, a test's teardown) must fail loudly
+    // instead of pinning its filters on a loop that will never drive them.
     host_ = default_worker_pool().try_next();
-    if (host_ != nullptr) {
-      metrics_pool_.store(&host_->pool(), std::memory_order_release);
+    if (host_ == nullptr) {
+      throw StreamError("FilterChain::start: the default worker pool is stopped");
     }
+    metrics_pool_.store(&host_->pool(), std::memory_order_release);
+  }
+  if (host_->stopping()) {
+    throw StreamError("FilterChain::start: the hosting loop is stopped");
   }
   // Wire head -> [pre-inserted filters] -> tail, then start consumers
   // before producers so no write ever lacks a reader.
@@ -109,11 +93,11 @@ void FilterChain::start() {
     prev = f.get();
   }
   prev->dos().connect(tail_->dis());
-  start_filter_locked(*tail_);
+  tail_->start_on(*host_);
   for (auto it = filters_.rbegin(); it != filters_.rend(); ++it) {
-    start_filter_locked(**it);
+    (*it)->start_on(*host_);
   }
-  start_filter_locked(*head_);
+  head_->start_on(*host_);
   started_ = true;
   record_locked("start");
 }
@@ -183,7 +167,7 @@ void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
     restore_or_abandon_splice(left, right);
     throw;
   }
-  start_filter_locked(*filter);
+  filter->start_on(*host_);
 
   filters_.insert(filters_.begin() + static_cast<std::ptrdiff_t>(pos),
                   std::move(filter));
@@ -471,7 +455,7 @@ void FilterChain::bind_metrics(obs::Registry& reg, const std::string& name) {
       scope_->histogram("reconfig_us", obs::Histogram::latency_us_bounds());
   m_events_ = scope_->trace("events", kEventTraceCapacity);
   // Data-plane buffer pool health, surfaced per chain: the host worker's
-  // arena once the chain is event-hosted, the process-wide pool otherwise.
+  // arena once the chain is placed, the process-wide pool before.
   // Steady-state hit rate near 1.0 means the packet path is
   // allocation-free (docs/data_plane.md). `this` captures are safe: the
   // chain drops this scope (blocking out in-flight snapshots) before

@@ -15,7 +15,10 @@
 //                    Left.DOS.reconnect(Right.DIS)
 //
 // All control operations are serialized by one mutex; data keeps flowing
-// through the untouched part of the chain while an operation runs.
+// through the untouched part of the chain while an operation runs. Every
+// member runs hosted on the chain's one EventLoop (chain affinity); control
+// operations run on the caller's thread and may block on the members'
+// drives, so they must never be called from that loop.
 #pragma once
 
 #include <atomic>
@@ -44,31 +47,30 @@ class FilterChain {
   FilterChain(const FilterChain&) = delete;
   FilterChain& operator=(const FilterChain&) = delete;
 
-  /// Hosts every member on `loop` instead of per-filter threads: start()
-  /// and later insert()s call Filter::start_on(loop), so the whole chain
-  /// runs on one worker (chain affinity — members never race, and a
-  /// worker's chains share its thread). Event-incapable members keep their
-  /// thread via the start_on() shim. Must be called before start(); the
-  /// loop must outlive the chain.
+  /// Hosts every member on `loop`: start() and later insert()s call
+  /// Filter::start_on(loop), so the whole chain runs on one worker (chain
+  /// affinity — members never race, and a worker's chains share its
+  /// thread). Must be called before start(); the loop must outlive the
+  /// chain. Without it, start() places the chain on default_worker_pool().
+  /// Hosting on a dedicated loop gives the chain a thread of its own, as in
+  /// the paper's proxy.
   void host_on(EventLoop& loop);
 
-  /// The hosting loop, or nullptr in thread-per-filter mode.
+  /// The hosting loop; nullptr only before start() without host_on().
   EventLoop* host() const;
 
   /// The buffer pool this chain's packets recycle through: the hosting
-  /// worker's arena once event-hosted, util::default_pool() otherwise.
+  /// worker's arena, or util::default_pool() before the chain is placed.
   /// What the chain's `pool/` metric rows read; tests assert steady-state
-  /// hit rates against it regardless of dispatch mode.
+  /// hit rates against it.
   util::BufferPool& recycle_pool() const {
     util::BufferPool* p = metrics_pool_.load(std::memory_order_acquire);
     return p != nullptr ? *p : util::default_pool();
   }
 
-  /// Connects head directly to tail (the "null proxy") and starts both
-  /// endpoints. Without an explicit host_on(), the RW_DISPATCH environment
-  /// variable picks the mode: "event" hosts the chain on the process-wide
-  /// default_worker_pool(); anything else (or unset) keeps the classic
-  /// thread-per-filter dispatch.
+  /// Connects head directly to tail (the "null proxy") and starts every
+  /// member on the hosting loop. Throws StreamError when that loop is
+  /// stopped (or, without host_on(), when default_worker_pool() is).
   void start();
 
   /// Inserts a filter at `pos` (0 = immediately after the head endpoint;
@@ -127,7 +129,7 @@ class FilterChain {
   std::optional<std::string> type_error() const;
 
   /// Stops the head endpoint, propagates EOF through every filter (each
-  /// flushes in order), and joins all threads. Idempotent. Filters'
+  /// flushes in order), and joins every member. Idempotent. Filters'
   /// output streams are hard-closed: fast, final teardown.
   void shutdown();
 
@@ -179,9 +181,6 @@ class FilterChain {
   Filter& right_of_locked(std::size_t pos) RW_REQUIRES(mu_);
   void check_pos_locked(std::size_t pos, bool inclusive) const
       RW_REQUIRES(mu_);
-  /// Starts `f` in the chain's dispatch mode (hosted or thread).
-  void start_filter_locked(Filter& f) RW_REQUIRES(mu_);
-
   // Metrics plumbing; all require mu_. Lock order: mu_ before the registry
   // mutex, and registered callbacks never take mu_ (src/obs/metrics.h).
   void attach_filter_locked(Filter& filter) RW_REQUIRES(mu_);
@@ -193,9 +192,9 @@ class FilterChain {
   const std::shared_ptr<Filter> tail_;  // immutable after construction
   EventLoop* host_ RW_GUARDED_BY(mu_) = nullptr;
   // The pool the chain's `pool/` gauges report on: the host worker's
-  // arena once hosted, util::default_pool() otherwise. An atomic (not
+  // arena once placed, util::default_pool() before. An atomic (not
   // mu_-guarded) because registry callbacks must never take mu_; nullptr
-  // means "not hosted, read the process pool".
+  // means "not placed yet, read the process pool".
   std::atomic<util::BufferPool*> metrics_pool_{nullptr};
   std::vector<std::shared_ptr<Filter>> filters_ RW_GUARDED_BY(mu_);
   bool started_ RW_GUARDED_BY(mu_) = false;

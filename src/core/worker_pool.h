@@ -1,8 +1,8 @@
 // N core::EventLoop workers on N OS threads (docs/data_plane.md, "Worker
 // model"). Chains are pinned whole to one worker (least-loaded placement
-// via next(), or sharded placement in proxy::FlowTable), so the pool is
-// the modern worker model over the paper's thread-per-filter proxy:
-// chains*filters logical flows multiplexed onto min(cores, N) threads.
+// via next(), or sharded placement in proxy::FlowTable), so the pool
+// multiplexes chains*filters logical flows — one OS thread each in the
+// paper's proxy — onto min(cores, N) threads.
 #pragma once
 
 #include <atomic>
@@ -44,9 +44,9 @@ class WorkerPool {
   EventLoop& next();
 
   /// Stop-safe variant of next(): nullptr once stop() has begun, so a
-  /// hosting decision racing teardown (e.g. FilterChain::start under
-  /// RW_DISPATCH=event during static destruction) can fall back to
-  /// thread dispatch instead of pinning work on a dead loop.
+  /// hosting decision racing teardown (e.g. FilterChain::start during
+  /// static destruction) can fail with an error instead of pinning work
+  /// on a dead loop.
   EventLoop* try_next();
 
   /// Publishes per-worker load metrics under `prefix`:
@@ -68,10 +68,10 @@ class WorkerPool {
   std::optional<obs::Scope> scope_;  // rw-lint: allow(RW003) set before threads observe it, dropped in stop()
 };
 
-/// Process-wide pool used when RW_DISPATCH=event selects event dispatch
-/// without an explicit pool (FilterChain::start). Constructed on first
-/// use (publishing its worker/<i>/ load gauges on obs::registry() under
-/// "workers"), stopped at static destruction.
+/// Process-wide pool hosting every chain started without an explicit
+/// FilterChain::host_on(). Constructed on first use (publishing its
+/// worker/<i>/ load gauges on obs::registry() under "workers"), stopped at
+/// static destruction.
 WorkerPool& default_worker_pool();
 
 }  // namespace rapidware::core

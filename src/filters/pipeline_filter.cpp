@@ -3,8 +3,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/endpoint.h"
-
 namespace rapidware::filters {
 
 PipelineFilter::PipelineFilter(
@@ -18,6 +16,14 @@ PipelineFilter::PipelineFilter(
       throw std::invalid_argument("PipelineFilter: child already running");
     }
   }
+}
+
+PipelineFilter::~PipelineFilter() {
+  // End a live run while this class's members still exist: the base
+  // destructor would wait for the final drive only after they are gone.
+  dis().close();
+  if (running()) dos().close();
+  join();
 }
 
 std::string PipelineFilter::describe() const {
@@ -50,39 +56,89 @@ std::string PipelineFilter::output_type(const std::string& input) const {
   return type;
 }
 
-void PipelineFilter::run() {
-  // Nested chain over this composite's own streams. Endpoints are created
-  // per run so the composite is restartable like any other filter; the
-  // child filter objects themselves are restartable and reused.
-  struct DisSource final : util::ByteSource {
-    explicit DisSource(core::DetachableInputStream& dis) : dis(dis) {}
-    std::size_t read_some(util::MutableByteSpan out) override {
-      return dis.read_some(out);
-    }
-    core::DetachableInputStream& dis;
-  };
-  struct DosSink final : util::ByteSink {
-    explicit DosSink(core::DetachableOutputStream& dos) : dos(dos) {}
-    void write(util::ByteSpan in) override { dos.write(in); }
-    void flush() override { dos.flush(); }
-    core::DetachableOutputStream& dos;
-  };
-
-  core::FilterChain nested(
-      std::make_shared<core::ByteReaderEndpoint>(
-          name() + ".in", std::make_shared<DisSource>(dis())),
-      std::make_shared<core::ByteWriterEndpoint>(
-          name() + ".out", std::make_shared<DosSink>(dos())));
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    nested.insert(children_[i], i);  // pre-start: wired atomically below
+void PipelineFilter::event_start() {
+  // Wire the row per run: the children are restartable and were detached
+  // by the previous run's final drive.
+  core::DetachableInputStream& first =
+      children_.empty() ? collect_ : children_.front()->dis();
+  feed_.connect(first);
+  for (std::size_t i = 0; i + 1 < children_.size(); ++i) {
+    children_[i]->dos().connect(children_[i + 1]->dis());
   }
-  nested.start();
-  // drain_shutdown() joins the nested head, which exits when THIS
-  // composite's DIS reports EOF (hard or detach); the cascade then flushes
-  // every child in order into this composite's DOS and DETACHES each child
-  // — the composite's flush-on-detach obligation, and what keeps the
-  // children (and therefore the composite) reusable after removal.
-  nested.drain_shutdown();
+  if (!children_.empty()) children_.back()->dos().connect(collect_);
+  input_ended_ = false;
+  drained_ = 0;
+  abandoned_ = false;
+  feed_.set_write_scheduler(event_scheduler());
+  collect_.set_read_scheduler(event_scheduler());
+  // Consumers before producers, as FilterChain::start does.
+  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
+    start_child(**it);
+  }
+}
+
+void PipelineFilter::event_stop() {
+  feed_.set_write_scheduler(nullptr);
+  collect_.set_read_scheduler(nullptr);
+  in_.reset();
+  out_.reset();
+}
+
+void PipelineFilter::advance_drain() {
+  // Stage d (child d, then collect_ as stage n) may take its soft EOF once
+  // everything upstream of it sits in its ring: stage 0 once the input
+  // ended, stage d > 0 once child d - 1 finished flushing into it. A
+  // child's finish re-drives this composite (start_child).
+  while (drained_ <= children_.size()) {
+    if (drained_ > 0 && children_[drained_ - 1]->running()) return;
+    if (drained_ == children_.size()) {
+      collect_.mark_soft_eof();
+    } else {
+      children_[drained_]->detach_request();
+    }
+    ++drained_;
+  }
+}
+
+void PipelineFilter::abandon() {
+  // Like any dead filter: upstream writers see BrokenPipe. Closing every
+  // child's input (and the collector) ends each child's run without
+  // waiting on its neighbours; the row is not reusable afterwards.
+  abandoned_ = true;
+  dis().close();
+  for (const auto& child : children_) child->dis().close();
+  collect_.close();
+}
+
+core::Filter::Drive PipelineFilter::on_ready() {
+  if (!abandoned_) {
+    try {
+      const Drive out = out_.run(collect_, dos());
+      if (out == Drive::kDone) {
+        // collect_ ended: every child finished and flushed. Detach the row
+        // (each pipe is drained, so the pauses return at once) and leave
+        // this composite's DOS connected — the removal protocol.
+        feed_.pause();
+        for (const auto& child : children_) child->dos().pause();
+        dos().flush();
+        return Drive::kDone;
+      }
+      Drive in = Drive::kIdle;
+      if (!input_ended_) {
+        in = in_.run(dis(), feed_);
+        input_ended_ = in == Drive::kDone;
+      }
+      if (input_ended_) advance_drain();
+      return out == Drive::kMore || in == Drive::kMore ? Drive::kMore
+                                                       : Drive::kIdle;
+    } catch (const core::StreamError&) {
+      abandon();
+    }
+  }
+  for (const auto& child : children_) {
+    if (child->running()) return Drive::kIdle;  // its finish re-drives us
+  }
+  return Drive::kDone;
 }
 
 void register_pipeline_factory(core::FilterRegistry& registry) {

@@ -4,19 +4,22 @@
 // chained-worker composition the paper contrasts with TranSend's TACC
 // model (Section 6), packaged as a mobile component.
 //
-// Internally the composite runs a nested FilterChain whose endpoints adapt
-// the composite's own detachable streams: the nested head reads the
-// composite's DIS (a ByteSource), the nested tail writes its DOS (a
-// ByteSink). Soft EOF on the composite's DIS drains the whole nested chain
-// — every child flushes in order — before the composite detaches, so the
-// chain-removal contract holds transitively.
+// Internally the composite wires its children in a row between two inner
+// streams of its own — feed_ (into the first child) and collect_ (out of
+// the last) — and hosts them on its own loop. Its drive bridges its DIS
+// into feed_ and collect_ into its DOS. EOF on the composite's DIS (hard
+// or soft) drains the children one at a time, in order: each child gets a
+// soft EOF only after its upstream neighbour finished flushing, so every
+// child flushes into the next before the composite finishes and detaches
+// the row — the chain-removal contract, held transitively, without any
+// drive ever blocking on a child.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "core/detachable_stream.h"
 #include "core/filter.h"
-#include "core/filter_chain.h"
 #include "core/filter_registry.h"
 
 namespace rapidware::filters {
@@ -26,6 +29,7 @@ class PipelineFilter final : public core::Filter {
   /// Children must be idle; they are started/stopped with the composite.
   PipelineFilter(std::string name,
                  std::vector<std::shared_ptr<core::Filter>> children);
+  ~PipelineFilter() override;
 
   std::string describe() const override;
   core::ParamMap params() const override;
@@ -38,10 +42,29 @@ class PipelineFilter final : public core::Filter {
   std::size_t child_count() const noexcept { return children_.size(); }
 
  protected:
-  void run() override;
+  Drive on_ready() override;
+  void event_start() override;
+  void event_stop() override;
 
  private:
+  /// Soft-EOFs the stage after the last finished child, once per child.
+  void advance_drain();
+  /// Tears the row down after an error: hard EOF into the first child and
+  /// a closed collector, so every child's run ends on its own.
+  void abandon();
+
   std::vector<std::shared_ptr<core::Filter>> children_;
+
+  // Run state; loop-thread-only between event_start() and the final drive
+  // (event_start() itself runs before any drive).
+  core::DetachableOutputStream feed_;  // -> first child (or collect_)
+  core::DetachableInputStream collect_;  // <- last child (or feed_)
+  static constexpr std::size_t kChunk = 32 * 1024;  // as ByteFilter's
+  BytePump in_{kChunk};   // DIS -> feed_
+  BytePump out_{kChunk};  // collect_ -> DOS
+  bool input_ended_ = false;  // DIS reported EOF and in_ flushed it all
+  std::size_t drained_ = 0;   // children given their soft EOF so far
+  bool abandoned_ = false;
 };
 
 /// Registers the "pipeline" factory with a registry. The parameter "of" is

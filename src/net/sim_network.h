@@ -21,6 +21,7 @@
 #include "net/link.h"
 #include "util/bytes.h"
 #include "util/clock.h"
+#include "util/io.h"
 #include "util/lock_rank.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -37,8 +38,9 @@ struct Datagram {
 
 class SimNetwork;
 
-/// A bound datagram socket. Thread-safe; receive blocks with an optional
-/// timeout. Obtain via SimNetwork::open().
+/// A bound datagram socket. Thread-safe; recv() blocks with an optional
+/// timeout, try_recv() plus a ready watcher serve event-driven readers.
+/// Obtain via SimNetwork::open().
 class SimSocket {
  public:
   ~SimSocket();
@@ -54,6 +56,21 @@ class SimSocket {
   /// Blocks for the next datagram; `timeout_ms` < 0 waits forever. Returns
   /// nullopt on timeout or once the socket is closed and drained.
   std::optional<Datagram> recv(int timeout_ms = -1);
+
+  /// Non-blocking recv(): the next datagram, or nullopt at once when none
+  /// is queued. Then `*closed` says whether the socket is closed and
+  /// drained (nothing will ever arrive); while it is open, the registered
+  /// ready watcher is armed and the next arrival or close() fires it
+  /// exactly once.
+  std::optional<Datagram> try_recv(bool* closed);
+
+  /// Registers (nullptr clears) the watcher an empty try_recv() arms. A
+  /// fire runs after this socket's lock is released — readiness targets
+  /// post to event loops, which rank below the socket — so this call also
+  /// waits out a fire already in progress: once it returns, the previous
+  /// watcher is not running and never will be. Must not be called from
+  /// inside a watcher.
+  void set_ready_watcher(util::ReadyWatcher* watcher);
 
   /// Joins/leaves a multicast group.
   void join(const Address& group);
@@ -73,6 +90,11 @@ class SimSocket {
 
   void enqueue(Datagram d);
 
+  /// Consumes the armed one-shot: the watcher to fire once mu_ is
+  /// released (pass it to fire()), or nullptr.
+  util::ReadyWatcher* take_armed_locked() RW_REQUIRES(mu_);
+  void fire(util::ReadyWatcher* watcher) RW_EXCLUDES(mu_);
+
   SimNetwork* const net_;
   const Address local_;
   // Written exactly once in SimNetwork::open() before the socket is handed
@@ -85,6 +107,10 @@ class SimSocket {
   bool closed_ RW_GUARDED_BY(mu_) = false;
   std::uint64_t sent_ RW_GUARDED_BY(mu_) = 0;
   std::uint64_t received_ RW_GUARDED_BY(mu_) = 0;
+  util::ReadyWatcher* watcher_ RW_GUARDED_BY(mu_) = nullptr;
+  bool watcher_armed_ RW_GUARDED_BY(mu_) = false;  // one-shot, armed by try_recv
+  int firing_ RW_GUARDED_BY(mu_) = 0;  // fires running outside mu_
+  rw::CondVar fired_cv_;               // firing_ dropped to zero
 };
 
 class SimNetwork {

@@ -21,6 +21,27 @@ void SocketPacketSource::interrupt() {
   socket_->close();
 }
 
+std::optional<util::Bytes> SocketPacketSource::poll_packet(bool* finished) {
+  bool closed = false;
+  auto datagram = socket_->try_recv(&closed);
+  *finished = closed;
+  if (!datagram) return std::nullopt;
+  return std::move(datagram->payload);
+}
+
+void SocketPacketSource::set_scheduler(core::Scheduler* sched) {
+  // Clear at the socket first (waiting out a fire in flight) before the
+  // forwarder's target changes; install the target before the socket can
+  // fire it.
+  if (sched == nullptr) {
+    socket_->set_ready_watcher(nullptr);
+    watch_.bind(nullptr);
+    return;
+  }
+  watch_.bind(sched);
+  socket_->set_ready_watcher(&watch_);
+}
+
 SocketPacketSink::SocketPacketSink(std::shared_ptr<net::SimSocket> socket,
                                    net::Address dst)
     : socket_(std::move(socket)), dst_(dst) {}

@@ -15,6 +15,9 @@
 namespace rapidware::proxy {
 
 /// PacketSource over a bound socket; each datagram payload is one packet.
+/// Pollable: an empty poll arms the socket's ready watcher, so the reader
+/// endpoint is re-driven by the next arrival (or the close that
+/// interrupt() performs).
 class SocketPacketSource final : public core::PacketSource {
  public:
   explicit SocketPacketSource(std::shared_ptr<net::SimSocket> socket);
@@ -22,11 +25,16 @@ class SocketPacketSource final : public core::PacketSource {
   std::optional<util::Bytes> next_packet() override;
   void interrupt() override;
 
+  bool pollable() const override { return true; }
+  std::optional<util::Bytes> poll_packet(bool* finished) override;
+  void set_scheduler(core::Scheduler* sched) override;
+
   net::SimSocket& socket() { return *socket_; }
 
  private:
   std::shared_ptr<net::SimSocket> socket_;
   std::atomic<bool> interrupted_{false};
+  core::IoReadyForwarder watch_;
 };
 
 /// PacketSink that sends every packet to a destination (unicast or

@@ -53,18 +53,40 @@ FaultyByteSource::FaultyByteSource(std::shared_ptr<util::ByteSource> inner,
                                    std::shared_ptr<FaultInjector> faults)
     : inner_(std::move(inner)), faults_(std::move(faults)) {}
 
-std::size_t FaultyByteSource::read_some(util::MutableByteSpan out) {
-  faults_->maybe_delay();
-  if (faults_->roll(faults_->plan().throw_p)) {
-    faults_->throws_.fetch_add(1, std::memory_order_relaxed);
+namespace {
+
+/// The read-side fault draw shared by both read paths: maybe delay, maybe
+/// throw, then the (possibly truncated) length to offer out of `n`.
+std::size_t read_window(FaultInjector& faults, std::atomic<std::uint64_t>& throws,
+                        std::atomic<std::uint64_t>& short_reads,
+                        std::size_t n) {
+  faults.maybe_delay();
+  if (faults.roll(faults.plan().throw_p)) {
+    throws.fetch_add(1, std::memory_order_relaxed);
     throw core::StreamError("FaultyByteSource: injected read failure");
   }
-  util::MutableByteSpan window = out;
-  if (!out.empty() && faults_->roll(faults_->plan().short_read_p)) {
-    faults_->short_reads_.fetch_add(1, std::memory_order_relaxed);
-    window = out.first(faults_->cut(out.size()));
+  if (n != 0 && faults.roll(faults.plan().short_read_p)) {
+    short_reads.fetch_add(1, std::memory_order_relaxed);
+    return faults.cut(n);
   }
-  return inner_->read_some(window);
+  return n;
+}
+
+}  // namespace
+
+std::size_t FaultyByteSource::read_some(util::MutableByteSpan out) {
+  return inner_->read_some(out.first(read_window(
+      *faults_, faults_->throws_, faults_->short_reads_, out.size())));
+}
+
+std::size_t FaultyByteSource::poll_read_borrow(std::size_t max,
+                                               util::SpanVisitor visit,
+                                               bool* end) {
+  // max == 0 means "no limit"; a short read needs a bound to cut from.
+  const std::size_t n = max != 0 ? max : std::size_t{64} * 1024;
+  return inner_->poll_read_borrow(
+      read_window(*faults_, faults_->throws_, faults_->short_reads_, n),
+      visit, end);
 }
 
 // ---------------------------------------------------------------------------
@@ -91,6 +113,27 @@ void FaultyByteSink::write(util::ByteSpan in) {
     return;
   }
   inner_->write(in);
+}
+
+std::size_t FaultyByteSink::try_write_some(util::ByteSpan in) {
+  faults_->maybe_delay();
+  if (faults_->roll(faults_->plan().throw_p)) {
+    faults_->throws_.fetch_add(1, std::memory_order_relaxed);
+    throw core::BrokenPipe("FaultyByteSink: injected write failure");
+  }
+  if (in.size() <= 1 || !faults_->roll(faults_->plan().fragment_write_p)) {
+    return inner_->try_write_some(in);
+  }
+  faults_->fragmented_writes_.fetch_add(1, std::memory_order_relaxed);
+  std::size_t written = 0;
+  while (written < in.size()) {
+    const std::size_t n = faults_->cut(in.size() - written);
+    const std::size_t w = inner_->try_write_some(in.subspan(written, n));
+    written += w;
+    if (w < n) break;  // the inner sink is full and armed its watcher
+    if (written < in.size()) faults_->maybe_delay();
+  }
+  return written;
 }
 
 void FaultyByteSink::flush() {

@@ -42,9 +42,7 @@ class SequenceGenerator final : public util::ByteSource {
   std::size_t read_some(util::MutableByteSpan out) override;
 
   /// Pollable with no watcher: a computed source always makes progress
-  /// (bytes until total_, then EOF), so a poll can never would-block —
-  /// which is what lets an event-hosted ByteReaderEndpoint run over it
-  /// with zero shim threads.
+  /// (bytes until total_, then EOF), so a poll can never would-block.
   bool pollable() const noexcept override { return true; }
   std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
                                bool* end) override;

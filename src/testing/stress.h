@@ -92,12 +92,11 @@ struct StressOptions {
   /// schedules — the metrics layer's own concurrency stress.
   obs::Registry* metrics = nullptr;
   std::string metrics_scope = "stress/chain";
-  /// When non-null, every schedule's chain is hosted on the pool (one
-  /// worker per chain, round-robin): event-capable members run as
-  /// multiplexed on_ready() drives, endpoints keep their threads via the
-  /// blocking shim, and the whole randomized control schedule (insert /
-  /// remove / reorder / pause+reconnect) runs against pool-hosted chains —
-  /// the multiplexed scheduler's byte-exactness stress.
+  /// When non-null, every schedule's chain is hosted on this pool (one
+  /// worker per chain, least-loaded placement) instead of the process-wide
+  /// default pool; the whole randomized control schedule (insert / remove
+  /// / reorder / pause+reconnect) runs against the multiplexed on_ready()
+  /// drives either way.
   core::WorkerPool* pool = nullptr;
 };
 

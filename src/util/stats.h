@@ -1,12 +1,12 @@
 // Statistics helpers used by the evaluation harness: running moments,
-// histograms, windowed rates, and percentage formatting.
+// windowed rates, and percentage formatting. Latency distributions use
+// obs::Histogram (src/obs/metrics.h).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
 namespace rapidware::util {
 
@@ -30,30 +30,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bin. Supports percentile queries over recorded samples.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  std::size_t total() const noexcept { return total_; }
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double bin_low(std::size_t i) const noexcept;
-
-  /// Approximate percentile (0..100) from bin midpoints.
-  double percentile(double p) const noexcept;
-
-  /// Renders a compact ASCII summary for bench output.
-  std::string summary() const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Ratio counter for hit/delivery rates: add successes/failures, read a rate.

@@ -9,11 +9,13 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "core/worker_pool.h"
 #include "testing/fault_injector.h"
 #include "testing/sequence_stream.h"
 #include "util/bytes.h"
@@ -30,10 +32,14 @@ using core::PacketWriterEndpoint;
 using core::QueuePacketSource;
 
 /// ByteSink that records every write call (size sequence + content).
+/// Pollable: it accepts everything at once, so it never arms a watcher.
 struct RecordingSink final : util::ByteSink {
-  void write(util::ByteSpan in) override {
+  void write(util::ByteSpan in) override { try_write_some(in); }
+  bool pollable() const noexcept override { return true; }
+  std::size_t try_write_some(util::ByteSpan in) override {
     data.insert(data.end(), in.begin(), in.end());
     write_sizes.push_back(in.size());
+    return in.size();
   }
   void flush() override { ++flushes; }
 
@@ -42,22 +48,41 @@ struct RecordingSink final : util::ByteSink {
   int flushes = 0;
 };
 
-/// ByteSink whose first write blocks until released; models a slow or
-/// stuck downstream consumer.
+/// ByteSink that refuses every write until released; models a slow or
+/// stuck downstream consumer. A refused write arms the ready watcher,
+/// which open() fires.
 class GatedSink final : public util::ByteSink {
  public:
-  void write(util::ByteSpan in) override {
-    std::unique_lock lk(mu_);
+  void write(util::ByteSpan) override {
+    throw std::logic_error("GatedSink is poll-only");
+  }
+
+  bool pollable() const noexcept override { return true; }
+
+  void set_ready_watcher(util::ReadyWatcher* watcher) override {
+    std::lock_guard lk(mu_);
+    watcher_ = watcher;
+  }
+
+  std::size_t try_write_some(util::ByteSpan in) override {
+    std::lock_guard lk(mu_);
     ++writes_started_;
     started_cv_.notify_all();
-    gate_cv_.wait(lk, [&] { return open_; });
+    if (!open_) {
+      armed_ = true;
+      return 0;
+    }
     data_.insert(data_.end(), in.begin(), in.end());
+    return in.size();
   }
 
   void open() {
     std::lock_guard lk(mu_);
     open_ = true;
-    gate_cv_.notify_all();
+    if (armed_ && watcher_ != nullptr) {
+      armed_ = false;
+      watcher_->on_io_ready();  // only posts, per the watcher contract
+    }
   }
 
   bool wait_first_write(std::int64_t timeout_ms) {
@@ -73,8 +98,9 @@ class GatedSink final : public util::ByteSink {
 
  private:
   mutable std::mutex mu_;
-  std::condition_variable gate_cv_;
   std::condition_variable started_cv_;
+  util::ReadyWatcher* watcher_ = nullptr;
+  bool armed_ = false;
   bool open_ = false;
   int writes_started_ = 0;
   util::Bytes data_;
@@ -139,7 +165,7 @@ TEST(Endpoint, InterruptStopsAPacketReaderBlockedOnItsSource) {
   FilterChain chain(std::make_shared<PacketReaderEndpoint>("in", source),
                     std::make_shared<PacketWriterEndpoint>("out", sink));
   chain.start();
-  // Nothing was ever pushed: the reader is blocked inside next_packet().
+  // Nothing was ever pushed: the reader is parked on its empty source.
   // shutdown() interrupts it and must complete rather than hang.
   chain.shutdown();
   EXPECT_TRUE(sink->ended());
@@ -200,7 +226,7 @@ TEST(Endpoint, CloseWhileWriterBlockedOnAStuckSinkUnblocksIt) {
   auto endpoint = std::make_shared<ByteWriterEndpoint>("out", sink, 64);
   core::DetachableOutputStream dos;
   dos.connect(endpoint->dis());
-  endpoint->start();
+  endpoint->start_on(core::default_worker_pool().next());
 
   std::atomic<bool> threw{false};
   std::thread writer([&] {
@@ -236,9 +262,9 @@ TEST(Endpoint, ClosingTheInputOfAWriterEndpointEndsItsLoop) {
   auto endpoint = std::make_shared<ByteWriterEndpoint>("out", sink);
   core::DetachableOutputStream dos;
   dos.connect(endpoint->dis());
-  endpoint->start();
-  // The endpoint is blocked in read_some on an empty ring. Abandoning the
-  // reader side ends the loop (read_some returns 0).
+  endpoint->start_on(core::default_worker_pool().next());
+  // The endpoint waits on an empty ring. Abandoning the reader side ends
+  // its run (the poll reports end-of-stream).
   endpoint->dis().close();
   endpoint->join();
   EXPECT_FALSE(endpoint->running());

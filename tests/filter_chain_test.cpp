@@ -3,7 +3,10 @@
 // end-to-end integrity property under randomized chain mutations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "core/control.h"
@@ -11,6 +14,7 @@
 #include "core/filter.h"
 #include "core/filter_chain.h"
 #include "core/filter_registry.h"
+#include "core/worker_pool.h"
 #include "util/buffer_pool.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -332,6 +336,18 @@ TEST(FilterChain, ReorderSwapsTraversalOrder) {
   h.chain->shutdown();
 }
 
+TEST(FilterChain, StartOnAStoppedPoolThrows) {
+  // A stopped loop never drives again: placing a chain there must fail
+  // loudly instead of leaving its members waiting forever.
+  core::WorkerPool pool(1);
+  pool.stop();
+  Harness h;
+  h.chain->host_on(pool.worker(0));
+  EXPECT_THROW(h.chain->start(), StreamError);
+  EXPECT_FALSE(h.chain->started());
+  EXPECT_FALSE(h.chain->head().running());
+}
+
 // ---------------------------------------------------------------------------
 // Byte filters in chains
 
@@ -339,30 +355,60 @@ TEST(FilterChain, ByteFilterTransformsStream) {
   // Byte-oriented chain: string source -> uppercase -> collecting sink.
   // The source is gated: it yields no bytes until released, so the filter
   // is guaranteed to be spliced in before any data flows (otherwise the
-  // endpoint threads could race the whole string past the insertion point).
+  // endpoints could race the whole string past the insertion point).
   class StringSource final : public util::ByteSource {
    public:
     explicit StringSource(std::string s) : data_(to_bytes(s)) {}
-    std::size_t read_some(util::MutableByteSpan out) override {
-      released_.wait(false);
-      const std::size_t n = std::min(out.size(), data_.size() - pos_);
-      std::copy_n(data_.begin() + static_cast<long>(pos_), n, out.begin());
-      pos_ += n;
-      return n;
+    std::size_t read_some(util::MutableByteSpan) override {
+      throw std::logic_error("StringSource is poll-only");
+    }
+    bool pollable() const noexcept override { return true; }
+    void set_ready_watcher(util::ReadyWatcher* watcher) override {
+      std::lock_guard lk(mu_);
+      watcher_ = watcher;
+    }
+    std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                                 bool* end) override {
+      std::lock_guard lk(mu_);
+      *end = false;
+      if (!released_) {
+        armed_ = true;  // release() fires the watcher
+        return 0;
+      }
+      std::size_t n = data_.size() - pos_;
+      if (max != 0) n = std::min(n, max);
+      if (n == 0) {
+        *end = true;
+        return 0;
+      }
+      const std::size_t used =
+          visit(util::ByteSpan(data_).subspan(pos_, n), util::ByteSpan());
+      pos_ += used;
+      return used;
     }
     void release() {
-      released_.store(true);
-      released_.notify_all();
+      std::lock_guard lk(mu_);
+      released_ = true;
+      if (armed_ && watcher_ != nullptr) {
+        armed_ = false;
+        watcher_->on_io_ready();  // only posts, per the watcher contract
+      }
     }
+    std::mutex mu_;
     Bytes data_;
     std::size_t pos_ = 0;
-    std::atomic<bool> released_{false};
+    bool released_ = false;
+    bool armed_ = false;
+    util::ReadyWatcher* watcher_ = nullptr;
   };
   class StringSink final : public util::ByteSink {
    public:
-    void write(util::ByteSpan in) override {
+    void write(util::ByteSpan in) override { try_write_some(in); }
+    bool pollable() const noexcept override { return true; }
+    std::size_t try_write_some(util::ByteSpan in) override {
       std::lock_guard lk(mu_);
       data_.insert(data_.end(), in.begin(), in.end());
+      return in.size();
     }
     std::mutex mu_;
     Bytes data_;
@@ -394,7 +440,7 @@ TEST(Filter, StartTwiceThrows) {
   h.chain->start();
   auto f = std::make_shared<TagFilter>(1);
   h.chain->insert(f, 0);
-  EXPECT_THROW(f->start(), StreamError);
+  EXPECT_THROW(f->start_on(*h.chain->host()), StreamError);
   h.source->finish();
   h.chain->shutdown();
 }
@@ -506,8 +552,7 @@ TEST(FilterChain, ListSnapshotSurvivesConcurrentMutation) {
 // ---------------------------------------------------------------------------
 // Zero-allocation steady state (the pool hit-rate test buffer_pool.h
 // promises): once the chain's recycle pool is warm — the hosting worker's
-// arena under event dispatch, the process-wide pool otherwise — a
-// pass-through packet hop serves every per-packet buffer from the free
+// arena — a pass-through packet hop serves every per-packet buffer from the free
 // list; the allocator is out of the loop. Measured at the pool: the miss
 // counter must not move during the steady-state window.
 
@@ -541,7 +586,7 @@ TEST(FilterChain, SteadyStatePassThroughHitsPoolEveryTime) {
   pump(kWarmupBatches);  // populate the pool's 512-byte class
 
   // Measure the pool the chain actually recycles through: the hosting
-  // worker's arena under RW_DISPATCH=event, the process pool otherwise.
+  // worker's arena.
   util::BufferPool& pool = h.chain->recycle_pool();
   const auto warm = pool.stats();
   pump(kSteadyBatches);

@@ -1,8 +1,15 @@
 // Tests for the network substrate: loss models, channel models, and the
-// SimNetwork datagram fabric (unicast, multicast, blocking receive).
+// SimNetwork datagram fabric (unicast, multicast, blocking receive, and
+// the non-blocking receive + ready watcher event-hosted readers use).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "net/link.h"
 #include "net/loss.h"
@@ -332,6 +339,162 @@ TEST(SimNetwork, ManyToOneConcurrentSendersAllDeliver) {
   int got = 0;
   while (sink->recv(10).has_value()) ++got;
   EXPECT_EQ(got, kSenders * kEach);
+}
+
+// ---------------------------------------------------------------------------
+// Readiness: try_recv() + the one-shot ready watcher that event-hosted
+// socket readers (proxy::SocketPacketSource) are driven by.
+
+/// Counts fires; optionally dwells inside on_io_ready() so a fire is
+/// reliably in flight while the test clears the watcher.
+struct CountingWatcher final : util::ReadyWatcher {
+  void on_io_ready() override {
+    in_fire.store(true);
+    if (dwell_us > 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(dwell_us));
+    }
+    fires.fetch_add(1);
+    in_fire.store(false);
+  }
+  std::atomic<int> fires{0};
+  std::atomic<bool> in_fire{false};
+  int dwell_us = 0;
+};
+
+TEST(SocketReadiness, OneFirePerArm) {
+  NetFixture f;
+  auto tx = f.net.open(f.a);
+  auto rx = f.net.open(f.b, 7);
+  CountingWatcher w;
+  rx->set_ready_watcher(&w);
+
+  // Not armed yet: arrivals fire nothing.
+  tx->send_to({f.b, 7}, to_bytes("early"));
+  EXPECT_EQ(w.fires.load(), 0);
+  bool closed = true;
+  ASSERT_TRUE(rx->try_recv(&closed).has_value());
+  EXPECT_FALSE(closed);
+
+  // An empty poll arms; a burst of arrivals fires exactly once.
+  EXPECT_FALSE(rx->try_recv(&closed).has_value());
+  EXPECT_FALSE(closed);
+  for (int i = 0; i < 3; ++i) tx->send_to({f.b, 7}, to_bytes("burst"));
+  EXPECT_EQ(w.fires.load(), 1);
+  int got = 0;
+  while (rx->try_recv(&closed)) ++got;  // the last, empty poll re-arms
+  EXPECT_EQ(got, 3);
+  tx->send_to({f.b, 7}, to_bytes("next"));
+  EXPECT_EQ(w.fires.load(), 2);
+  rx->set_ready_watcher(nullptr);
+}
+
+TEST(SocketReadiness, CloseFiresTheArmedWatcher) {
+  NetFixture f;
+  auto rx = f.net.open(f.b, 7);
+  CountingWatcher w;
+  rx->set_ready_watcher(&w);
+  bool closed = true;
+  EXPECT_FALSE(rx->try_recv(&closed).has_value());
+  EXPECT_FALSE(closed);
+  rx->close();
+  EXPECT_EQ(w.fires.load(), 1);
+  EXPECT_FALSE(rx->try_recv(&closed).has_value());
+  EXPECT_TRUE(closed);  // closed and drained: nothing will ever arrive
+  rx->close();          // idempotent, and nothing left to fire
+  EXPECT_EQ(w.fires.load(), 1);
+  rx->set_ready_watcher(nullptr);
+}
+
+TEST(SocketReadiness, NoFireAfterClearingTheWatcher) {
+  NetFixture f;
+  auto tx = f.net.open(f.a);
+  auto rx = f.net.open(f.b, 7);
+  CountingWatcher w;
+  rx->set_ready_watcher(&w);
+  bool closed = false;
+  EXPECT_FALSE(rx->try_recv(&closed).has_value());  // armed
+  rx->set_ready_watcher(nullptr);
+  tx->send_to({f.b, 7}, to_bytes("late"));
+  rx->close();
+  EXPECT_EQ(w.fires.load(), 0);
+
+  // A fire in flight when the watcher is cleared: the clear waits it out,
+  // so once set_ready_watcher(nullptr) returns the watcher is idle for
+  // good (it could be destroyed right here).
+  auto rx2 = f.net.open(f.b, 8);
+  CountingWatcher slow;
+  slow.dwell_us = 20'000;
+  rx2->set_ready_watcher(&slow);
+  EXPECT_FALSE(rx2->try_recv(&closed).has_value());  // armed
+  std::thread sender([&] { tx->send_to({f.b, 8}, to_bytes("x")); });
+  while (!slow.in_fire.load()) std::this_thread::yield();
+  rx2->set_ready_watcher(nullptr);
+  EXPECT_FALSE(slow.in_fire.load());
+  EXPECT_EQ(slow.fires.load(), 1);
+  sender.join();
+}
+
+TEST(SocketReadiness, PolledReaderLosesNoWakeupAndTearsDownUnderTraffic) {
+  // An event-style reader (poll until empty, then wait for the fire)
+  // against concurrent senders: every datagram arrives and the reader
+  // never sleeps through one. Then the socket is torn down — watcher
+  // cleared and destroyed, socket closed and released — while the senders
+  // are still sending; under ASan/TSan a fire outliving its watcher or a
+  // racing enqueue shows up here.
+  NetFixture f;
+  auto rx = f.net.open(f.c, 9);
+  constexpr int kSenders = 4, kEach = 500;
+
+  struct Wake final : util::ReadyWatcher {
+    void on_io_ready() override {
+      std::lock_guard lk(mu);
+      fired = true;
+      cv.notify_one();
+    }
+    std::mutex mu;
+    std::condition_variable cv;
+    bool fired = false;
+  };
+  auto wake = std::make_unique<Wake>();
+  rx->set_ready_watcher(wake.get());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> senders;
+  for (int s = 0; s < kSenders; ++s) {
+    senders.emplace_back([&, s] {
+      auto sock = f.net.open(s % 2 == 0 ? f.a : f.b);
+      for (int i = 0; i < kEach; ++i) sock->send_to({f.c, 9}, to_bytes("d"));
+      // Keep the fabric busy through the teardown below.
+      while (!stop.load()) sock->send_to({f.c, 9}, to_bytes("late"));
+    });
+  }
+
+  int got = 0;
+  while (got < kSenders * kEach) {
+    bool closed = false;
+    if (rx->try_recv(&closed)) {
+      ++got;
+      continue;
+    }
+    ASSERT_FALSE(closed);
+    std::unique_lock lk(wake->mu);
+    ASSERT_TRUE(wake->cv.wait_for(lk, std::chrono::seconds(10),
+                                  [&] { return wake->fired; }))
+        << "lost wakeup after " << got << " datagrams";
+    wake->fired = false;
+  }
+  EXPECT_EQ(got, kSenders * kEach);
+
+  // Poll a little more so the clear below races an armed watcher.
+  bool closed = false;
+  for (int i = 0; i < 64 && rx->try_recv(&closed); ++i) {
+  }
+  rx->set_ready_watcher(nullptr);
+  wake.reset();
+  rx->close();
+  rx.reset();
+  stop.store(true);
+  for (auto& t : senders) t.join();
 }
 
 TEST(AddressFormatting, RendersBothKinds) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
+#include "filters/compress_filter.h"
 #include "filters/fec_filters.h"
 #include "filters/registry.h"
 #include "media/audio.h"
@@ -96,6 +98,44 @@ TEST(Proxy, NullProxyForwards) {
     EXPECT_EQ(to_string(d->payload), "p" + std::to_string(i));
   }
   proxy.shutdown();
+}
+
+TEST(Proxy, EndToEndRunsEveryStageEventHosted) {
+  // The paper's §5 path — socket ingress, filters, socket egress — runs as
+  // on_ready() drives on one worker: no member keeps a thread of its own,
+  // and the stream through an inverse filter pair arrives whole, in order.
+  World w;
+  Proxy proxy(w.net, w.proxy_node, w.config());
+  proxy.chain().append(std::make_shared<filters::CompressFilter>());
+  proxy.chain().append(std::make_shared<filters::DecompressFilter>());
+  proxy.start();
+
+  ASSERT_NE(proxy.chain().host(), nullptr);
+  EXPECT_TRUE(proxy.chain().head().event_hosted());
+  EXPECT_TRUE(proxy.chain().tail().event_hosted());
+  for (const auto& f : proxy.chain().list()) {
+    EXPECT_TRUE(f->event_hosted()) << f->name();
+  }
+
+  auto tx = w.net.open(w.sender);
+  auto rx = w.net.open(w.mobile, 5000);
+  constexpr int kPackets = 200;
+  util::Rng rng(12);
+  std::vector<Bytes> sent;
+  for (int i = 0; i < kPackets; ++i) {
+    Bytes p(64 + rng.next_below(400));
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng.next_below(4));
+    tx->send_to({w.proxy_node, 4000}, p);
+    sent.push_back(std::move(p));
+  }
+  for (int i = 0; i < kPackets; ++i) {
+    auto d = rx->recv(2000);
+    ASSERT_TRUE(d.has_value()) << "packet " << i << " missing";
+    EXPECT_EQ(d->payload, sent[static_cast<std::size_t>(i)]) << "packet " << i;
+  }
+  proxy.shutdown();
+  EXPECT_FALSE(proxy.chain().head().running());
+  EXPECT_FALSE(proxy.chain().tail().running());
 }
 
 TEST(Proxy, StartTwiceThrows) {

@@ -172,7 +172,8 @@ TEST(ChainStress, SchedulesAreDeterministicPerSeed) {
 //    blocked on a full ring (missed wakeup in detachable_stream.cpp).
 // 2) dead-tail wedge: a filter thread that died on an exception left its
 //    input ring full forever, deadlocking every upstream stage and the
-//    chain's own teardown (fixed in Filter::thread_main).
+//    chain's own teardown (fixed in the filter's exception path, which
+//    closes its input).
 // The direct regression tests for both live below; this sweep re-runs the
 // chain schedules that first tripped over them.
 TEST(ChainStress, RegressionSchedules) {
@@ -190,13 +191,11 @@ TEST(ChainStress, RegressionSchedules) {
   }
 }
 
-// The same randomized schedules with every chain pinned to a worker
-// (StressOptions.pool): insert / remove / reorder / pause+reconnect run
-// against the multiplexed scheduler, with event-capable pass-through
-// filters multiplexed as on_ready() drives and the byte endpoints carried
-// by the blocking shim — the mixed-dispatch mode a migrating proxy runs
-// in. A fifth of the thread-mode sweep: each schedule covers the same op
-// space, the sweep exists to vary interleavings.
+// The same randomized schedules with every chain pinned to a worker of a
+// dedicated two-worker pool (StressOptions.pool) instead of the default
+// pool: insert / remove / reorder / pause+reconnect run against the
+// multiplexed scheduler. A fifth of the full sweep: each schedule covers
+// the same op space, the sweep exists to vary interleavings.
 TEST(ChainStress, PoolHostedSchedulesAreByteExact) {
   core::WorkerPool pool(2);
   testing::StressOptions opts;
@@ -213,8 +212,8 @@ TEST(ChainStress, PoolHostedSchedulesAreByteExact) {
   pool.stop();
 }
 
-// The pinned thread-mode regression schedules replayed on pool-hosted
-// chains: the dispatch mode must not change any schedule's verdict.
+// The pinned regression schedules replayed on a dedicated pool: the
+// placement must not change any schedule's verdict.
 TEST(ChainStress, PoolHostedRegressionSchedules) {
   const std::uint64_t pinned[] = {
       0x7aa96a482cbd41bfULL,
@@ -343,6 +342,10 @@ TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
     void write(util::ByteSpan) override {
       throw core::StreamError("sink died");
     }
+    bool pollable() const noexcept override { return true; }
+    std::size_t try_write_some(util::ByteSpan) override {
+      throw core::StreamError("sink died");
+    }
   };
   auto generator =
       std::make_shared<testing::SequenceGenerator>(0x7e57ULL, 1 << 20);
@@ -372,7 +375,8 @@ TEST(ChainStress, RegressionDeadTailReleasesBackpressure) {
 // through a util::BufferPool.
 
 /// In-memory frame store: write_frame() fills it, then it serves as the
-/// ByteSource a FaultyByteSource wraps.
+/// ByteSource a FaultyByteSource wraps. Pollable on both sides: memory
+/// never makes a poll or a write wait.
 class MemoryFrameStore final : public util::ByteSource, public util::ByteSink {
  public:
   void write(util::ByteSpan in) override {
@@ -383,6 +387,22 @@ class MemoryFrameStore final : public util::ByteSource, public util::ByteSink {
     std::copy_n(data_.begin() + static_cast<long>(pos_), n, out.begin());
     pos_ += n;
     return n;
+  }
+  bool pollable() const noexcept override { return true; }
+  std::size_t try_write_some(util::ByteSpan in) override {
+    write(in);
+    return in.size();
+  }
+  std::size_t poll_read_borrow(std::size_t max, util::SpanVisitor visit,
+                               bool* end) override {
+    std::size_t n = data_.size() - pos_;
+    if (max != 0) n = std::min(n, max);
+    *end = n == 0;
+    if (n == 0) return 0;
+    const std::size_t used =
+        visit(util::ByteSpan(data_).subspan(pos_, n), util::ByteSpan());
+    pos_ += used;
+    return used;
   }
 
  private:

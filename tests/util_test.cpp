@@ -234,25 +234,6 @@ TEST(RunningStats, MergeMatchesCombinedStream) {
   EXPECT_DOUBLE_EQ(a.max(), all.max());
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-100.0);  // clamps to first bin
-  h.add(100.0);   // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-}
-
-TEST(Histogram, PercentileOrdering) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  EXPECT_LT(h.percentile(10), h.percentile(50));
-  EXPECT_LT(h.percentile(50), h.percentile(99));
-  EXPECT_NEAR(h.percentile(50), 50.0, 2.0);
-}
-
 TEST(RateCounter, ComputesRate) {
   RateCounter c;
   EXPECT_EQ(c.rate(), 0.0);

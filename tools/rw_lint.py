@@ -26,7 +26,7 @@ Rules
          the op table in docs/control_protocol.md.
   RW005  Every bench/bench_*.cpp emits the BENCH json summary line.
   RW006  No fresh util::Bytes construction inside the per-packet hot paths
-         (PacketFilter run()/on_packet() bodies). Steady-state pass-through
+         (filter on_ready()/on_packet() and pump run() bodies). Steady-state pass-through
          must be allocation-free (tests/filter_chain_test.cpp asserts it):
          acquire scratch from util::default_pool() or move an existing
          buffer through. Transform filters that genuinely need a fresh
@@ -293,7 +293,7 @@ def check_rw005() -> None:
 # ---------------------------------------------------------------------------
 # RW006: per-packet util::Bytes construction in data-plane hot loops
 
-HOT_DEF_RE = re.compile(r"\b(?:[A-Za-z_]\w*::)*(run|on_packet)\s*\(")
+HOT_DEF_RE = re.compile(r"\b(?:[A-Za-z_]\w*::)*(run|on_ready|on_packet)\s*\(")
 # A Bytes object being created: declaration (`util::Bytes body = ...`,
 # `Bytes out;`) or a ctor expression (`emit(util::Bytes(...))`).
 BYTES_CTOR_RE = re.compile(r"\b(?:util::)?Bytes\b\s*(?:[a-z_]\w*\s*)?[({=;]")
@@ -352,7 +352,7 @@ def check_rw006() -> None:
                 if BYTES_CTOR_RE.search(code):
                     report(path, lineno, "RW006",
                            "fresh util::Bytes in a per-packet hot path "
-                           "(run()/on_packet()); acquire from "
+                           "(run()/on_ready()/on_packet()); acquire from "
                            "util::default_pool() or move the input buffer "
                            "through", raw_lines[lineno - 1])
 
