@@ -1,7 +1,5 @@
 #include "core/detachable_stream.h"
 
-#include <chrono>
-
 #include "obs/metrics.h"  // for the RW_OBS_ENABLED compile-out switch
 
 namespace rapidware::core {
@@ -226,20 +224,7 @@ void DetachableOutputStream::write_segments(
       mu_.assert_held();
       return closed_ || (connected_ && !swflag_);
     };
-    if (!ready()) {
-      // Only time the wait when it actually blocks: the fast path must not
-      // read the clock (overhead contract in src/obs/metrics.h).
-#if RW_OBS_ENABLED
-      const auto t0 = std::chrono::steady_clock::now();
-#endif
-      state_cv_.wait(mu_, ready);
-#if RW_OBS_ENABLED
-      blocked_us_ += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-#endif
-    }
+    state_cv_.wait(mu_, ready);
     if (closed_) throw BrokenPipe("DOS::write: stream closed");
     st = sink_;
     ++active_writers_;
@@ -495,11 +480,6 @@ std::uint64_t DetachableOutputStream::bytes_sent() const noexcept {
 std::uint64_t DetachableOutputStream::pauses() const {
   rw::MutexLock lk(mu_);
   return pauses_;
-}
-
-std::uint64_t DetachableOutputStream::blocked_micros() const {
-  rw::MutexLock lk(mu_);
-  return blocked_us_;
 }
 
 void connect(DetachableOutputStream& dos, DetachableInputStream& dis) {

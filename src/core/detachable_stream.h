@@ -59,15 +59,17 @@ class DetachableInputStream;
 /// reconnect, EOF, close — disarms and fires. Callbacks run UNDER the
 /// stream lock that noticed the change, so implementations must only post
 /// to their worker's queue; they must never call back into a stream.
-class Scheduler {
+class Scheduler : public util::ReadyWatcher {
  public:
-  virtual ~Scheduler() = default;
-
   /// The watched input may now have data or a final EOF to report.
   virtual void on_readable() = 0;
 
   /// The watched output may now accept a write it previously refused.
   virtual void on_writable() = 0;
+
+  /// A watched pollable util source or sink, or socket, is ready: the
+  /// same re-drive, so a Scheduler can be registered there directly.
+  void on_io_ready() override { on_readable(); }
 };
 
 namespace detail {
@@ -342,11 +344,6 @@ class DetachableOutputStream final : public util::ByteSink {
   /// Completed pause() calls that actually detached the pipe.
   std::uint64_t pauses() const;
 
-  /// Cumulative microseconds writers spent blocked in write() waiting for a
-  /// connect/unpause — the per-splice disruption the paper's Figure 7
-  /// measures, accumulated as a running total.
-  std::uint64_t blocked_micros() const;
-
  private:
   friend class DetachableInputStream;
 
@@ -388,7 +385,6 @@ class DetachableOutputStream final : public util::ByteSink {
 
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::uint64_t pauses_ RW_GUARDED_BY(mu_) = 0;
-  std::uint64_t blocked_us_ RW_GUARDED_BY(mu_) = 0;
 };
 
 /// Convenience: connect a fresh pair.

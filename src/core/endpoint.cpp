@@ -122,8 +122,7 @@ ByteReaderEndpoint::ByteReaderEndpoint(std::string name,
 }
 
 void ByteReaderEndpoint::event_start() {
-  ev_watch_.bind(event_scheduler());
-  source_->set_ready_watcher(&ev_watch_);
+  source_->set_ready_watcher(event_scheduler());
 }
 
 void ByteReaderEndpoint::event_stop() {
@@ -151,8 +150,7 @@ ByteWriterEndpoint::ByteWriterEndpoint(std::string name,
 }
 
 void ByteWriterEndpoint::event_start() {
-  ev_watch_.bind(event_scheduler());
-  sink_->set_ready_watcher(&ev_watch_);
+  sink_->set_ready_watcher(event_scheduler());
 }
 
 void ByteWriterEndpoint::event_stop() {

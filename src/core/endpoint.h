@@ -131,22 +131,6 @@ class PacketWriterEndpoint final : public Filter {
   bool ev_ended_ = false;  // on_end() already delivered this run
 };
 
-/// Adapts a util::ReadyWatcher fire into a core::Scheduler re-drive —
-/// the bridge that lets byte endpoints and socket sources watch any
-/// pollable util::ByteSource/ByteSink or net::SimSocket (which cannot
-/// reference core::Scheduler from lower layers). Fired possibly under the
-/// watched object's lock: only posts, per both contracts.
-class IoReadyForwarder final : public util::ReadyWatcher {
- public:
-  void bind(Scheduler* target) noexcept { target_ = target; }
-  void on_io_ready() override {
-    if (target_ != nullptr) target_->on_readable();
-  }
-
- private:
-  Scheduler* target_ = nullptr;
-};
-
 /// Byte-oriented reader endpoint over any pollable util::ByteSource (the
 /// paper's EndPointStreamReader): file, in-memory buffer, generator. A
 /// source that is not pollable is rejected (std::invalid_argument).
@@ -166,7 +150,6 @@ class ByteReaderEndpoint final : public Filter {
 
  private:
   std::shared_ptr<util::ByteSource> source_;
-  IoReadyForwarder ev_watch_;
   BytePump pump_;
 };
 
@@ -187,7 +170,6 @@ class ByteWriterEndpoint final : public Filter {
 
  private:
   std::shared_ptr<util::ByteSink> sink_;
-  IoReadyForwarder ev_watch_;
   BytePump pump_;
 };
 

@@ -1,6 +1,7 @@
 #include "core/filter.h"
 
 #include <cstring>
+#include <utility>
 
 #include "core/event_loop.h"
 #include "util/buffer_pool.h"
@@ -47,6 +48,7 @@ struct FilterEventCore final : Scheduler,
   std::weak_ptr<FilterEventCore> parent;
   std::atomic<bool> alive{true};
   std::atomic<bool> scheduled{false};
+  util::Micros wake_at = 0;  // loop clock; drives before it are swallowed
 
   rw::Mutex mu{"core/filter_event", rw::lockrank::kFilterEvent};
   rw::CondVar done_cv;
@@ -72,7 +74,14 @@ Filter::~Filter() {
 void Filter::start_on(EventLoop& loop) { host(loop, {}); }
 
 void Filter::start_child(Filter& child) {
-  child.host(*event_core_->loop, event_core_);
+  try {
+    child.host(*event_core_->loop, event_core_);
+  } catch (...) {
+    // Dead before the caller ends the children it started: their final
+    // drives re-drive this core.
+    event_core_->alive.store(false, std::memory_order_release);
+    throw;
+  }
 }
 
 void Filter::host(EventLoop& loop,
@@ -88,7 +97,7 @@ void Filter::host(EventLoop& loop,
   try {
     event_start();
   } catch (...) {
-    event_core_.reset();  // nothing was scheduled: the run never began
+    event_core_.reset();  // nothing drove it: the run never began
     running_.store(false, std::memory_order_release);
     throw;
   }
@@ -114,7 +123,16 @@ Scheduler* Filter::event_scheduler() const noexcept {
   return event_core_.get();
 }
 
+void Filter::wake_after(std::chrono::microseconds delay) {
+  detail::FilterEventCore& core = *event_core_;
+  sim::VirtualClock& clock = core.loop->clock();
+  core.wake_at = clock.now() + delay.count();
+  clock.schedule_at(core.wake_at,
+                    [self = core.shared_from_this()] { self->schedule(); });
+}
+
 void Filter::drive_event(detail::FilterEventCore& core) {
+  if (core.loop->clock().now() < core.wake_at) return;  // wake_after's timer
   Drive drive;
   try {
     drive = on_ready();
@@ -177,8 +195,6 @@ void Filter::register_metrics(obs::Scope scope) {
                  [dos] { return static_cast<double>(dos->bytes_sent()); });
   scope.callback("pauses",
                  [dos] { return static_cast<double>(dos->pauses()); });
-  scope.callback("blocked_us",
-                 [dos] { return static_cast<double>(dos->blocked_micros()); });
   scope.callback("wakeups",
                  [dis] { return static_cast<double>(dis->wakeups()); });
   scope.callback("wakeups_suppressed", [dis] {
@@ -255,10 +271,20 @@ void Filter::BytePump::reset() {
 void PacketFilter::event_start() {
   ev_frames_ = std::make_unique<util::FrameReader>(dis());
   ev_pending_.clear();
+  ev_deferred_.reset();
   ev_flushed_ = false;
 }
 
-void PacketFilter::event_stop() { ev_frames_.reset(); }
+void PacketFilter::event_stop() {
+  ev_frames_.reset();
+  ev_deferred_.reset();
+}
+
+void PacketFilter::defer(util::Bytes packet,
+                         std::chrono::microseconds delay) {
+  ev_deferred_ = std::move(packet);
+  wake_after(delay);
+}
 
 bool PacketFilter::flush_ev_pending() {
   while (!ev_pending_.empty()) {
@@ -273,6 +299,10 @@ bool PacketFilter::flush_ev_pending() {
 
 Filter::Drive PacketFilter::on_ready() {
   if (!flush_ev_pending()) return Drive::kIdle;
+  if (std::optional<util::Bytes> packet = std::exchange(ev_deferred_, {})) {
+    on_packet(std::move(*packet));
+    if (ev_deferred_ || !flush_ev_pending()) return Drive::kIdle;
+  }
   for (int budget = 0; budget < kDriveBudget; ++budget) {
     bool end = false;
     auto packet = ev_frames_->poll(&end);
@@ -286,7 +316,7 @@ Filter::Drive PacketFilter::on_ready() {
     }
     packets_in_.fetch_add(1, std::memory_order_relaxed);
     on_packet(std::move(*packet));
-    if (!flush_ev_pending()) return Drive::kIdle;
+    if (ev_deferred_ || !flush_ev_pending()) return Drive::kIdle;
   }
   return Drive::kMore;
 }

@@ -5,8 +5,8 @@
 // can splice the filter in and out of a running stream. A filter runs
 // hosted on a core::EventLoop between start_on() and its final drive: the
 // loop calls on_ready() whenever one of its streams becomes ready, so an
-// idle filter holds no OS thread. The paper's thread-per-filter layout is
-// the special case of one dedicated loop per filter.
+// idle filter holds no OS thread. A loop per filter is the paper's
+// thread-per-filter layout (FilterChain::host_on(WorkerPool&)).
 //
 // Two processing styles:
 //   * ByteFilter   — transforms raw byte chunks;
@@ -21,9 +21,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "core/detachable_stream.h"
@@ -69,7 +71,6 @@ class Filter {
   bool running() const noexcept {
     return running_.load(std::memory_order_acquire);
   }
-  bool event_hosted() const noexcept { return running(); }
 
   /// Waits for the run to finish. Does not itself request the exit — use
   /// detach_request() or close the input first. A control-plane call: it
@@ -133,9 +134,16 @@ class Filter {
   /// event_stop().
   Scheduler* event_scheduler() const noexcept;
 
-  /// Hosts `child` on this filter's loop (valid from event_start() on) and
-  /// re-drives this filter once the child's run finishes — how a composite
-  /// sequences its children's flushes without ever joining them.
+  /// Re-drives this filter once `delay` has passed on its loop's clock and
+  /// swallows every drive before then: how a drive waits (then returns
+  /// kIdle) without holding the worker. Call from on_ready() only.
+  void wake_after(std::chrono::microseconds delay);
+
+  /// Hosts `child` on this filter's loop and re-drives this filter once the
+  /// child's run finishes: how a composite sequences its children's flushes
+  /// without joining them. Call from event_start() only. If the child fails
+  /// to start, this run is killed before the rethrow; the caller must end
+  /// (may join) the children it already started.
   void start_child(Filter& child);
 
   /// Per-drive work budget: after this many packets/chunks the drive
@@ -251,7 +259,8 @@ class PacketFilter : public Filter {
   void event_start() override;
   void event_stop() override;
 
-  /// Handles one input packet; call emit() for each output packet.
+  /// Handles one input packet; call emit() for each output packet, or
+  /// defer() to see it again later.
   virtual void on_packet(util::Bytes packet) = 0;
 
   /// Called on EOF before the run finishes; emit pending state here.
@@ -270,6 +279,10 @@ class PacketFilter : public Filter {
   /// call.
   void emit(util::Bytes&& packet);
 
+  /// Hands `packet` back: no input is read until on_packet() gets it again,
+  /// once `delay` has passed (wake_after). Call from on_packet() only.
+  void defer(util::Bytes packet, std::chrono::microseconds delay);
+
   std::uint64_t packets_in() const noexcept {
     return packets_in_.load(std::memory_order_relaxed);
   }
@@ -287,6 +300,7 @@ class PacketFilter : public Filter {
   // Run state; loop-thread-only between event_start() and the final drive.
   std::unique_ptr<util::FrameReader> ev_frames_;
   std::deque<util::Bytes> ev_pending_;  // emits parked behind backpressure
+  std::optional<util::Bytes> ev_deferred_;  // handed back by defer()
   bool ev_flushed_ = false;             // on_flush() already ran this run
 };
 

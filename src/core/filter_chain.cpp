@@ -61,7 +61,15 @@ void FilterChain::host_on(EventLoop& loop) {
   rw::MutexLock lk(mu_);
   if (started_) throw StreamError("FilterChain::host_on: already started");
   host_ = &loop;
+  spread_ = nullptr;
   metrics_pool_.store(&loop.pool(), std::memory_order_release);
+}
+
+void FilterChain::host_on(WorkerPool& pool) {
+  rw::MutexLock lk(mu_);
+  if (started_) throw StreamError("FilterChain::host_on: already started");
+  host_ = nullptr;
+  spread_ = &pool;
 }
 
 EventLoop* FilterChain::host() const {
@@ -69,35 +77,47 @@ EventLoop* FilterChain::host() const {
   return host_;
 }
 
+EventLoop& FilterChain::place_locked() {
+  if (spread_ == nullptr) return *host_;
+  return spread_->worker(spread_next_++ % spread_->size());
+}
+
 void FilterChain::start() {
   rw::MutexLock lk(mu_);
   if (started_) throw StreamError("FilterChain::start: already started");
   if (host_ == nullptr) {
-    // try_next, not next: a chain started while the default pool is
-    // stopping (static destruction, a test's teardown) must fail loudly
-    // instead of pinning its filters on a loop that will never drive them.
-    host_ = default_worker_pool().try_next();
+    // try_next: a chain started on a stopping pool must fail loudly, not
+    // pin its filters on a loop that will never drive them.
+    WorkerPool& pool = spread_ != nullptr ? *spread_ : default_worker_pool();
+    host_ = pool.try_next();
     if (host_ == nullptr) {
-      throw StreamError("FilterChain::start: the default worker pool is stopped");
+      throw StreamError("FilterChain::start: the worker pool is stopped");
+    }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (&pool.worker(i) == host_) spread_next_ = i;
     }
     metrics_pool_.store(&host_->pool(), std::memory_order_release);
   }
   if (host_->stopping()) {
     throw StreamError("FilterChain::start: the hosting loop is stopped");
   }
-  // Wire head -> [pre-inserted filters] -> tail, then start consumers
-  // before producers so no write ever lacks a reader.
+  // Wire and place head -> [filters] -> tail in order, then start
+  // consumers before producers so no write ever lacks a reader.
+  std::vector<EventLoop*> loops;
+  loops.reserve(filters_.size() + 1);
   Filter* prev = head_.get();
+  EventLoop& head_loop = place_locked();
   for (const auto& f : filters_) {
     prev->dos().connect(f->dis());
+    loops.push_back(&place_locked());
     prev = f.get();
   }
   prev->dos().connect(tail_->dis());
-  tail_->start_on(*host_);
-  for (auto it = filters_.rbegin(); it != filters_.rend(); ++it) {
-    (*it)->start_on(*host_);
+  tail_->start_on(place_locked());
+  for (std::size_t i = filters_.size(); i-- > 0;) {
+    filters_[i]->start_on(*loops[i]);
   }
-  head_->start_on(*host_);
+  head_->start_on(head_loop);
   started_ = true;
   record_locked("start");
 }
@@ -167,7 +187,7 @@ void FilterChain::insert(std::shared_ptr<Filter> filter, std::size_t pos) {
     restore_or_abandon_splice(left, right);
     throw;
   }
-  filter->start_on(*host_);
+  filter->start_on(place_locked());
 
   filters_.insert(filters_.begin() + static_cast<std::ptrdiff_t>(pos),
                   std::move(filter));

@@ -7,7 +7,7 @@
 //   insert(F, pos):  Left.DOS.pause()            — drain the splice point
 //                    Left.DOS.reconnect(F.DIS)   — attach new filter input
 //                    Right.DIS.reconnect(F.DOS)  — attach new filter output
-//                    F.start()
+//                    F.start_on(loop)
 //
 //   remove(pos):     Left.DOS.pause()            — drain F's input
 //                    F.detach_request(); F.join()— F flushes pending state
@@ -15,10 +15,10 @@
 //                    Left.DOS.reconnect(Right.DIS)
 //
 // All control operations are serialized by one mutex; data keeps flowing
-// through the untouched part of the chain while an operation runs. Every
-// member runs hosted on the chain's one EventLoop (chain affinity); control
-// operations run on the caller's thread and may block on the members'
-// drives, so they must never be called from that loop.
+// through the untouched part of the chain while an operation runs. Members
+// run as on_ready() drives on one loop (host_on(EventLoop&)) or spread
+// over a pool's workers (host_on(WorkerPool&)). Control operations block
+// on the members' drives, so they must never run on a hosting loop.
 #pragma once
 
 #include <atomic>
@@ -37,6 +37,8 @@
 
 namespace rapidware::core {
 
+class WorkerPool;
+
 class FilterChain {
  public:
   /// The chain owns its endpoints: head produces data into the chain, tail
@@ -47,20 +49,26 @@ class FilterChain {
   FilterChain(const FilterChain&) = delete;
   FilterChain& operator=(const FilterChain&) = delete;
 
-  /// Hosts every member on `loop`: start() and later insert()s call
-  /// Filter::start_on(loop), so the whole chain runs on one worker (chain
-  /// affinity — members never race, and a worker's chains share its
-  /// thread). Must be called before start(); the loop must outlive the
-  /// chain. Without it, start() places the chain on default_worker_pool().
-  /// Hosting on a dedicated loop gives the chain a thread of its own, as in
-  /// the paper's proxy.
+  /// Hosts every member on `loop` (chain affinity: members never race, and
+  /// a worker's chains share its thread). Must be called before start();
+  /// the loop must outlive the chain. Without any host_on(), start() places
+  /// the chain on default_worker_pool().next().
   void host_on(EventLoop& loop);
 
-  /// The hosting loop; nullptr only before start() without host_on().
+  /// Spreads the members over `pool`: the head on the least-loaded worker,
+  /// each further member (and later insert()) on the next worker round the
+  /// pool, so stages run in parallel — thread-per-filter when the pool has
+  /// a worker per member. Must be called before start(); the pool must
+  /// outlive the chain.
+  void host_on(WorkerPool& pool);
+
+  /// The loop hosting the head endpoint (under host_on(EventLoop&), every
+  /// member's); nullptr only before start().
   EventLoop* host() const;
 
-  /// The buffer pool this chain's packets recycle through: the hosting
-  /// worker's arena, or util::default_pool() before the chain is placed.
+  /// The buffer pool this chain's packets recycle through: the host()
+  /// worker's arena (a spread chain's members each use their own worker's),
+  /// or util::default_pool() before the chain is placed.
   /// What the chain's `pool/` metric rows read; tests assert steady-state
   /// hit rates against it.
   util::BufferPool& recycle_pool() const {
@@ -69,8 +77,8 @@ class FilterChain {
   }
 
   /// Connects head directly to tail (the "null proxy") and starts every
-  /// member on the hosting loop. Throws StreamError when that loop is
-  /// stopped (or, without host_on(), when default_worker_pool() is).
+  /// member on its hosting loop. Throws StreamError when that loop is
+  /// stopped (or its pool, or, without host_on(), default_worker_pool()).
   void start();
 
   /// Inserts a filter at `pos` (0 = immediately after the head endpoint;
@@ -186,11 +194,15 @@ class FilterChain {
   void attach_filter_locked(Filter& filter) RW_REQUIRES(mu_);
   void detach_filter_locked(const Filter& filter) RW_REQUIRES(mu_);
   void record_locked(const std::string& text) RW_REQUIRES(mu_);
+  /// The loop for the next started member: host_, or the next spread_ one.
+  EventLoop& place_locked() RW_REQUIRES(mu_);
 
   mutable rw::Mutex mu_{"core/filter_chain", rw::lockrank::kFilterChain};
   const std::shared_ptr<Filter> head_;  // immutable after construction
   const std::shared_ptr<Filter> tail_;  // immutable after construction
   EventLoop* host_ RW_GUARDED_BY(mu_) = nullptr;
+  WorkerPool* spread_ RW_GUARDED_BY(mu_) = nullptr;  // host_on(WorkerPool&)
+  std::size_t spread_next_ RW_GUARDED_BY(mu_) = 0;   // next worker index
   // The pool the chain's `pool/` gauges report on: the host worker's
   // arena once placed, util::default_pool() before. An atomic (not
   // mu_-guarded) because registry callbacks must never take mu_; nullptr

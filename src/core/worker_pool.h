@@ -1,6 +1,7 @@
 // N core::EventLoop workers on N OS threads (docs/data_plane.md, "Worker
 // model"). Chains are pinned whole to one worker (least-loaded placement
-// via next(), or sharded placement in proxy::FlowTable), so the pool
+// via next(), or sharded placement in proxy::FlowTable), or spread stage by
+// stage over the workers (FilterChain::host_on(WorkerPool&)), so the pool
 // multiplexes chains*filters logical flows — one OS thread each in the
 // paper's proxy — onto min(cores, N) threads.
 #pragma once

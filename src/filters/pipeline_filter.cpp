@@ -57,6 +57,13 @@ std::string PipelineFilter::output_type(const std::string& input) const {
 }
 
 void PipelineFilter::event_start() {
+  // Refuse a child started elsewhere before wiring anything.
+  for (const auto& child : children_) {
+    if (child->running()) {
+      throw core::StreamError("PipelineFilter: child " + child->name() +
+                              " already running");
+    }
+  }
   // Wire the row per run: the children are restartable and were detached
   // by the previous run's final drive.
   core::DetachableInputStream& first =
@@ -72,8 +79,19 @@ void PipelineFilter::event_start() {
   feed_.set_write_scheduler(event_scheduler());
   collect_.set_read_scheduler(event_scheduler());
   // Consumers before producers, as FilterChain::start does.
-  for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-    start_child(**it);
+  auto it = children_.rbegin();
+  try {
+    for (; it != children_.rend(); ++it) start_child(**it);
+  } catch (...) {
+    // start_child() killed this run. End the children it started (this is
+    // the control thread): none may write into collect_ after it dies.
+    feed_.set_write_scheduler(nullptr);
+    collect_.set_read_scheduler(nullptr);
+    for (auto started = children_.rbegin(); started != it; ++started) {
+      (*started)->dis().close();
+      (*started)->join();
+    }
+    throw;
   }
 }
 
@@ -100,16 +118,6 @@ void PipelineFilter::advance_drain() {
   }
 }
 
-void PipelineFilter::abandon() {
-  // Like any dead filter: upstream writers see BrokenPipe. Closing every
-  // child's input (and the collector) ends each child's run without
-  // waiting on its neighbours; the row is not reusable afterwards.
-  abandoned_ = true;
-  dis().close();
-  for (const auto& child : children_) child->dis().close();
-  collect_.close();
-}
-
 core::Filter::Drive PipelineFilter::on_ready() {
   if (!abandoned_) {
     try {
@@ -132,7 +140,13 @@ core::Filter::Drive PipelineFilter::on_ready() {
       return out == Drive::kMore || in == Drive::kMore ? Drive::kMore
                                                        : Drive::kIdle;
     } catch (const core::StreamError&) {
-      abandon();
+      // Like any dead filter: upstream writers see BrokenPipe. Closing
+      // every input ends each child's run without waiting on its
+      // neighbours; the row is not reusable afterwards.
+      abandoned_ = true;
+      dis().close();
+      for (const auto& child : children_) child->dis().close();
+      collect_.close();
     }
   }
   for (const auto& child : children_) {

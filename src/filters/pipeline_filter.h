@@ -49,9 +49,6 @@ class PipelineFilter final : public core::Filter {
  private:
   /// Soft-EOFs the stage after the last finished child, once per child.
   void advance_drain();
-  /// Tears the row down after an error: hard EOF into the first child and
-  /// a closed collector, so every child's run ends on its own.
-  void abandon();
 
   std::vector<std::shared_ptr<core::Filter>> children_;
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
-#include <thread>
 
 namespace rapidware::filters {
 
@@ -44,21 +43,25 @@ bool ThrottleFilter::set_param(const std::string& key,
 
 void ThrottleFilter::on_packet(util::Bytes packet) {
   const double rate = rate_.load();
+  const util::Micros now = clock_->now();
   if (!primed_) {
     tokens_ = burst_;
-    last_refill_ = clock_->now();
+    last_refill_ = now;
     primed_ = true;
   }
+  tokens_ = std::min(
+      burst_, tokens_ + rate * static_cast<double>(now - last_refill_) / 1e6);
+  last_refill_ = now;
+  // A packet larger than the bucket goes once the bucket is full, leaving
+  // the tokens in debt, rather than waiting for credit that never comes.
   const auto cost = static_cast<double>(packet.size());
-  for (;;) {
-    const util::Micros now = clock_->now();
-    tokens_ = std::min(
-        burst_, tokens_ + rate * static_cast<double>(now - last_refill_) / 1e6);
-    last_refill_ = now;
-    if (tokens_ >= cost) break;
-    const double deficit = cost - tokens_;
-    const auto wait_us = static_cast<std::int64_t>(deficit / rate * 1e6) + 1;
-    std::this_thread::sleep_for(std::chrono::microseconds(wait_us));
+  const double need = std::min(cost, burst_);
+  if (tokens_ < need) {
+    // Park the packet, not the worker, until the deficit has refilled.
+    const auto wait_us =
+        static_cast<std::int64_t>((need - tokens_) / rate * 1e6) + 1;
+    defer(std::move(packet), std::chrono::microseconds(wait_us));
+    return;
   }
   tokens_ -= cost;
   emit(std::move(packet));

@@ -1,5 +1,7 @@
 // Token-bucket rate limiter filter: caps the byte rate a chain forwards
-// toward a slow link (bandwidth conservation for handheld clients).
+// toward a slow link (bandwidth conservation for handheld clients). A packet
+// that finds the bucket short is deferred (PacketFilter::defer) until the
+// deficit refills: pacing never blocks the worker the filter runs on.
 #pragma once
 
 #include <atomic>

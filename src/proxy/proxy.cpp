@@ -3,6 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "core/worker_pool.h"
 #include "proxy/socket_endpoints.h"
 #include "util/logging.h"
 
@@ -20,6 +21,8 @@ Proxy::Proxy(net::SimNetwork& net, net::NodeId node, ProxyConfig config,
   egress_sink_ = endpoints.sink;
   chain_ = std::make_shared<core::FilterChain>(std::move(endpoints.head),
                                                std::move(endpoints.tail));
+  // Stages in parallel, as the paper's thread-per-filter proxy runs them.
+  chain_->host_on(core::default_worker_pool());
   // Per-flow chains share the egress sink with the main chain, so classified
   // and unclassified traffic leave through the same socket + destination.
   flows_ = std::make_unique<FlowTable>(classifier_, *registry,

@@ -45,7 +45,8 @@ class Proxy {
   Proxy(const Proxy&) = delete;
   Proxy& operator=(const Proxy&) = delete;
 
-  /// Starts the data chain (as a null proxy) and the control service.
+  /// Starts the data chain (a null proxy, its stages spread over the
+  /// default worker pool unless placed by chain().host_on()) and control.
   void start();
 
   /// Stops the control service, drains and stops the chain.

@@ -30,16 +30,7 @@ std::optional<util::Bytes> SocketPacketSource::poll_packet(bool* finished) {
 }
 
 void SocketPacketSource::set_scheduler(core::Scheduler* sched) {
-  // Clear at the socket first (waiting out a fire in flight) before the
-  // forwarder's target changes; install the target before the socket can
-  // fire it.
-  if (sched == nullptr) {
-    socket_->set_ready_watcher(nullptr);
-    watch_.bind(nullptr);
-    return;
-  }
-  watch_.bind(sched);
-  socket_->set_ready_watcher(&watch_);
+  socket_->set_ready_watcher(sched);
 }
 
 SocketPacketSink::SocketPacketSink(std::shared_ptr<net::SimSocket> socket,

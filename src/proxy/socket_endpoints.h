@@ -34,7 +34,6 @@ class SocketPacketSource final : public core::PacketSource {
  private:
   std::shared_ptr<net::SimSocket> socket_;
   std::atomic<bool> interrupted_{false};
-  core::IoReadyForwarder watch_;
 };
 
 /// PacketSink that sends every packet to a destination (unicast or

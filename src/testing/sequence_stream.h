@@ -16,6 +16,7 @@
 // what arrived as ok / duplicate / reordered / corrupt.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <set>
@@ -79,7 +80,9 @@ class SequenceChecker final : public util::ByteSink {
     std::uint8_t actual;
   };
 
-  std::uint64_t received() const noexcept { return received_; }
+  std::uint64_t received() const noexcept {
+    return received_.load(std::memory_order_acquire);
+  }
   bool clean() const noexcept { return !divergence_.has_value(); }
   std::optional<Divergence> divergence() const noexcept { return divergence_; }
 
@@ -89,7 +92,7 @@ class SequenceChecker final : public util::ByteSink {
 
  private:
   const std::uint64_t seed_;
-  std::uint64_t received_ = 0;
+  std::atomic<std::uint64_t> received_{0};  // one writer, polled by tests
   std::optional<Divergence> divergence_;
 };
 

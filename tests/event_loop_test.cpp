@@ -192,12 +192,6 @@ TEST(HostedChain, FullyEventChainDeliversByteExact) {
     h.chain->bind_metrics(metrics, "test/hosted");
     h.chain->insert(std::make_shared<PassThroughPacketFilter>("pass"), 0);
 
-    // Every member is event-capable: the whole chain runs as on_ready()
-    // drives with zero dedicated threads.
-    EXPECT_TRUE(h.head->event_hosted());
-    EXPECT_TRUE(h.tail->event_hosted());
-    EXPECT_TRUE(h.chain->at(0)->event_hosted());
-
     for (std::uint32_t i = 0; i < kPackets; ++i) {
       h.source->push(testing::make_stamped_packet(kSeed, i, 256));
     }
@@ -213,6 +207,55 @@ TEST(HostedChain, FullyEventChainDeliversByteExact) {
     EXPECT_EQ(ledger.corrupt(), 0u);
 
     h.chain->drain_shutdown();
+  }
+  pool.stop();
+}
+
+TEST(HostedChain, PoolPlacementSpreadsMembersOverWorkers) {
+  // host_on(WorkerPool&): head, two filters and tail land on the workers
+  // one after another, so every worker of a 4-worker pool drives a stage,
+  // a live insert takes the next worker round, and the stream through the
+  // cross-worker hops stays byte-exact.
+  constexpr std::uint32_t kPackets = 2000;
+  constexpr std::uint64_t kSeed = 0x5b2ead11ULL;
+  core::WorkerPool pool(4);
+  {
+    auto source = std::make_shared<core::QueuePacketSource>();
+    auto sink = std::make_shared<core::CollectingPacketSink>();
+    core::FilterChain chain(
+        std::make_shared<core::PacketReaderEndpoint>("rx", source),
+        std::make_shared<core::PacketWriterEndpoint>("tx", sink));
+    chain.append(std::make_shared<PassThroughPacketFilter>("a"));
+    chain.append(std::make_shared<PassThroughPacketFilter>("b"));
+    chain.host_on(pool);
+    chain.start();
+    ASSERT_NE(chain.host(), nullptr);
+    std::vector<std::uint64_t> before;
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      before.push_back(pool.worker(w).tasks_run());
+    }
+    for (std::uint32_t i = 0; i < kPackets / 2; ++i) {
+      source->push(testing::make_stamped_packet(kSeed, i, 256));
+    }
+    ASSERT_TRUE(sink->wait_for(kPackets / 2));
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      EXPECT_GT(pool.worker(w).tasks_run(), before[w]) << "worker " << w;
+    }
+    chain.insert(std::make_shared<PassThroughPacketFilter>("c"), 1);
+    for (std::uint32_t i = kPackets / 2; i < kPackets; ++i) {
+      source->push(testing::make_stamped_packet(kSeed, i, 256));
+    }
+    source->finish();
+    ASSERT_TRUE(sink->wait_for(kPackets));
+
+    testing::PacketLedger ledger(kSeed, kPackets);
+    for (const auto& p : sink->packets()) ledger.record(p);
+    EXPECT_EQ(ledger.ok(), kPackets);
+    EXPECT_EQ(ledger.lost(), 0u);
+    EXPECT_EQ(ledger.duplicates(), 0u);
+    EXPECT_EQ(ledger.reordered(), 0u);
+    EXPECT_EQ(ledger.corrupt(), 0u);
+    chain.drain_shutdown();
   }
   pool.stop();
 }

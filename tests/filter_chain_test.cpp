@@ -346,6 +346,11 @@ TEST(FilterChain, StartOnAStoppedPoolThrows) {
   EXPECT_THROW(h.chain->start(), StreamError);
   EXPECT_FALSE(h.chain->started());
   EXPECT_FALSE(h.chain->head().running());
+  // Spread over the stopped pool: the same refusal.
+  Harness spread;
+  spread.chain->host_on(pool);
+  EXPECT_THROW(spread.chain->start(), StreamError);
+  EXPECT_FALSE(spread.chain->head().running());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@
 // stats taps, interleaving filters, caching, and the filter registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "core/worker_pool.h"
 #include "filters/cache_filter.h"
 #include "filters/compress_filter.h"
 #include "filters/crypto_filter.h"
@@ -394,6 +399,58 @@ TEST(Throttle, LimitsThroughput) {
                            .count();
   EXPECT_EQ(h.sink->count(), 20u);
   EXPECT_GT(elapsed, 0.3);
+}
+
+TEST(Throttle, PacingLeavesTheWorkerToOtherChains) {
+  // A throttled chain and a plain one share a single worker. The throttle
+  // waits ~0.5 s per packet for tokens; the plain chain's packets must not
+  // wait behind it, so pacing has to leave the worker free.
+  core::WorkerPool pool(1);
+  auto slow_source = std::make_shared<core::QueuePacketSource>();
+  auto slow_sink = std::make_shared<core::CollectingPacketSink>();
+  core::FilterChain slow(
+      std::make_shared<core::PacketReaderEndpoint>("slow-in", slow_source),
+      std::make_shared<core::PacketWriterEndpoint>("slow-out", slow_sink));
+  slow.host_on(pool.worker(0));
+  slow.append(std::make_shared<ThrottleFilter>(2'000.0, 1000.0));
+  slow.start();
+  auto fast_source = std::make_shared<core::QueuePacketSource>();
+  auto fast_sink = std::make_shared<core::CollectingPacketSink>();
+  core::FilterChain fast(
+      std::make_shared<core::PacketReaderEndpoint>("fast-in", fast_source),
+      std::make_shared<core::PacketWriterEndpoint>("fast-out", fast_sink));
+  fast.host_on(pool.worker(0));
+  fast.start();
+
+  // The first packet spends the bucket; the next two wait ~0.5 s each.
+  for (int i = 0; i < 3; ++i) slow_source->push(Bytes(1000, 7));
+  double worst_s = 0;
+  for (std::size_t i = 1; i <= 10; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fast_source->push(Bytes(100, 1));
+    ASSERT_TRUE(fast_sink->wait_for(i));
+    worst_s = std::max(worst_s, std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() - t0)
+                                    .count());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_LT(worst_s, 0.25);  // a blocking throttle stalls it ~0.5 s
+  ASSERT_TRUE(slow_sink->wait_for(3));
+
+  fast_source->finish();
+  fast.shutdown();
+  slow_source->finish();
+  slow.shutdown();
+  pool.stop();
+}
+
+TEST(Throttle, OversizePacketPassesOnAFullBucket) {
+  // A packet larger than the bucket cannot ever find enough tokens; it
+  // goes once the bucket is full instead of waiting forever.
+  Harness h;
+  h.chain->insert(std::make_shared<ThrottleFilter>(100'000.0, 500.0), 0);
+  for (int i = 0; i < 3; ++i) h.source->push(Bytes(2000, 3));
+  ASSERT_TRUE(h.sink->wait_for(3));
 }
 
 TEST(Throttle, RejectsNonPositiveRate) {

@@ -5,6 +5,7 @@
 
 #include "core/endpoint.h"
 #include "core/filter_chain.h"
+#include "core/worker_pool.h"
 #include "filters/compress_filter.h"
 #include "filters/crypto_filter.h"
 #include "filters/fec_filters.h"
@@ -79,6 +80,58 @@ TEST(PipelineFilter, CompositePairRoundTripsInChain) {
   h.source->finish();
   h.chain->shutdown();
   EXPECT_EQ(h.sink->packets(), sent);
+}
+
+TEST(PipelineFilter, StartRefusesAChildStartedElsewhere) {
+  // A child started on its own after the composite was built: the
+  // composite's start fails before wiring or starting anything and leaves
+  // the stray run alone; once that run ended, the composite starts cleanly.
+  core::WorkerPool pool(1);
+  const auto key = derive_key("pipe");
+  auto stray = std::make_shared<DecompressFilter>();
+  auto pipe = std::make_shared<PipelineFilter>(
+      "unsecure", std::vector<std::shared_ptr<core::Filter>>{
+                      std::make_shared<DecryptFilter>(key), stray});
+  stray->start_on(pool.worker(0));
+  EXPECT_THROW(pipe->start_on(pool.worker(0)), core::StreamError);
+  EXPECT_FALSE(pipe->running());
+  EXPECT_TRUE(stray->running());
+  stray->detach_request();
+  stray->join();
+
+  Harness h;
+  h.chain->append(secure_pipe());
+  h.chain->append(pipe);
+  const auto sent = payloads(20);
+  for (auto& p : sent) h.source->push(p);
+  h.source->finish();
+  h.chain->shutdown();
+  EXPECT_EQ(h.sink->packets(), sent);
+  pool.stop();
+}
+
+TEST(PipelineFilter, FailedStartEndsTheChildrenItStarted) {
+  // The outer composite starts its last child, then fails on a nested
+  // composite whose own child runs elsewhere. The child it did start must
+  // be ended before the failure surfaces: nothing may keep writing into
+  // the composite's inner stream, or re-driving its dead run, afterwards.
+  core::WorkerPool pool(1);
+  auto stray = std::make_shared<CompressFilter>();
+  auto nested = std::make_shared<PipelineFilter>(
+      "nested", std::vector<std::shared_ptr<core::Filter>>{stray});
+  auto started = std::make_shared<DecompressFilter>();
+  auto outer = std::make_shared<PipelineFilter>(
+      "outer", std::vector<std::shared_ptr<core::Filter>>{nested, started});
+  stray->start_on(pool.worker(0));
+  EXPECT_THROW(outer->start_on(pool.worker(0)), core::StreamError);
+  EXPECT_FALSE(outer->running());
+  EXPECT_FALSE(nested->running());
+  EXPECT_FALSE(started->running());
+  EXPECT_TRUE(stray->running());
+  outer.reset();  // destroying the failed composite touches nothing live
+  stray->detach_request();
+  stray->join();
+  pool.stop();
 }
 
 TEST(PipelineFilter, HotInsertAndRemoveAsOneUnit) {

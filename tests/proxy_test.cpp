@@ -102,8 +102,8 @@ TEST(Proxy, NullProxyForwards) {
 
 TEST(Proxy, EndToEndRunsEveryStageEventHosted) {
   // The paper's §5 path — socket ingress, filters, socket egress — runs as
-  // on_ready() drives on one worker: no member keeps a thread of its own,
-  // and the stream through an inverse filter pair arrives whole, in order.
+  // on_ready() drives on the default pool's workers, and the stream through
+  // an inverse filter pair arrives whole, in order.
   World w;
   Proxy proxy(w.net, w.proxy_node, w.config());
   proxy.chain().append(std::make_shared<filters::CompressFilter>());
@@ -111,10 +111,10 @@ TEST(Proxy, EndToEndRunsEveryStageEventHosted) {
   proxy.start();
 
   ASSERT_NE(proxy.chain().host(), nullptr);
-  EXPECT_TRUE(proxy.chain().head().event_hosted());
-  EXPECT_TRUE(proxy.chain().tail().event_hosted());
+  EXPECT_TRUE(proxy.chain().head().running());
+  EXPECT_TRUE(proxy.chain().tail().running());
   for (const auto& f : proxy.chain().list()) {
-    EXPECT_TRUE(f->event_hosted()) << f->name();
+    EXPECT_TRUE(f->running()) << f->name();
   }
 
   auto tx = w.net.open(w.sender);

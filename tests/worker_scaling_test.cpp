@@ -110,11 +110,10 @@ TEST(WorkerScaling, FullyEventHostedAudioChainRunsWithZeroShimThreads) {
 
     // Every member — endpoints, FEC codec pair, interleaver pair, and the
     // transcoder — runs as on_ready() drives on the worker.
-    EXPECT_TRUE(h.head->event_hosted());
-    EXPECT_TRUE(h.tail->event_hosted());
+    EXPECT_TRUE(h.head->running());
+    EXPECT_TRUE(h.tail->running());
     for (std::size_t i = 0; i < h.chain->size(); ++i) {
-      EXPECT_TRUE(h.chain->at(i)->event_hosted())
-          << "filter " << i << " fell back to the thread shim";
+      EXPECT_TRUE(h.chain->at(i)->running()) << "filter " << i;
     }
     // The hosted chain added no threads: the pool's workers carry it all.
     if (base_threads > 0) {
@@ -177,9 +176,9 @@ TEST(WorkerScaling, ByteEndpointsEventHostOverPollableStreams) {
 
     // A pollable source/sink pair lets the byte endpoints event-host: no
     // blocking shim threads anywhere in the chain.
-    EXPECT_TRUE(head->event_hosted());
-    EXPECT_TRUE(tail->event_hosted());
-    EXPECT_TRUE(chain.at(0)->event_hosted());
+    EXPECT_TRUE(head->running());
+    EXPECT_TRUE(tail->running());
+    EXPECT_TRUE(chain.at(0)->running());
     if (base_threads > 0) {
       EXPECT_EQ(thread_count(), base_threads);
     }
